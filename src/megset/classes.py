@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import UnrecognizedClassError
 from .graph import Graph, build_graph, is_connected
+from .structure import core_decomposition, leaf_set
 
 TREE = "TREE"
 CYCLE = "CYCLE"
@@ -122,10 +123,6 @@ def gen_grid(m: int, n: int) -> Graph:
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _leaves(g: Graph) -> frozenset[int]:
-    return frozenset(v for v in range(g.n) if g.degree(v) == 1)
-
-
 def is_tree(g: Graph) -> bool:
     return is_connected(g) and g.m == g.n - 1
 
@@ -134,7 +131,7 @@ def meg_tree(g: Graph) -> ClassResult:
     """Trees: the leaf set is the unique minimum MEG-set."""
     if not is_tree(g) or g.m == 0:
         raise ValueError("expected a tree with at least one edge")
-    leaves = _leaves(g)
+    leaves = leaf_set(g)
     return ClassResult(len(leaves), leaves, TREE)
 
 
@@ -147,43 +144,16 @@ def meg_cycle(n: int) -> ClassResult:
     return ClassResult(3, frozenset({0, n // 3, 2 * n // 3}), CYCLE)
 
 
-def _find_cycle_order(g: Graph) -> tuple[int, ...]:
-    """Vertex order of the unique cycle: peel leaves, then walk.
-
-    Starts at the smallest cycle vertex and moves toward its smaller
-    cycle neighbor, so the order is deterministic.
-    """
-    deg = [g.degree(v) for v in range(g.n)]
-    queue = [v for v in range(g.n) if deg[v] == 1]
-    while queue:
-        v = queue.pop()
-        deg[v] = 0
-        for w in g.adj[v]:
-            if deg[w] > 0:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    cyc = {v for v in range(g.n) if deg[v] >= 2}
-    start = min(cyc)
-    nbrs = sorted(w for w in g.adj[start] if w in cyc)
-    order = [start, nbrs[0]]
-    while True:
-        prev, cur = order[-2], order[-1]
-        nxt = next(w for w in g.adj[cur] if w in cyc and w != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-    return tuple(order)
-
-
 def unicyclic_profile(g: Graph) -> UnicyclicProfile:
     """Locate the unique cycle and compute its attachment parameters."""
     if not is_connected(g) or g.m != g.n:
         raise ValueError("expected a connected unicyclic graph (m = n)")
-    order = _find_cycle_order(g)
+    # the base of a unicyclic graph is its cycle, walked from the smallest
+    # vertex toward its smaller neighbor
+    order = core_decomposition(g).core_cycles[0][:-1]
     k = len(order)
     core = frozenset(v for v in order if g.degree(v) >= 3)
-    leaf_count = sum(1 for v in range(g.n) if g.degree(v) == 1)
+    leaf_count = len(leaf_set(g))
     span = _unique_span(k)
     if core:
         p = 1 if any(len(arc) + 1 > span for arc in _arcs(order, core)) else 0
@@ -237,7 +207,7 @@ def meg_unicyclic(g: Graph) -> ClassResult:
     k = prof.k
     order = prof.cycle_order
     core = prof.core_on_cycle
-    leaves = _leaves(g)
+    leaves = leaf_set(g)
     if not core:
         if k == 4:
             return ClassResult(4, frozenset(order), UNICYCLIC)
@@ -319,9 +289,9 @@ def recognize_class(g: Graph) -> ClassResult:
     if is_tree(g) and g.m >= 1:
         return meg_tree(g)
     if is_connected(g) and g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n)):
-        order = _find_cycle_order(g)
+        order = unicyclic_profile(g).cycle_order
         base = meg_cycle(g.n)
-        return ClassResult(base.meg_number, frozenset(order[i] for i in _positions(base, g.n)), CYCLE)
+        return ClassResult(base.meg_number, frozenset(order[i] for i in base.witness), CYCLE)
     if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:
         return meg_complete(g.n)
     d = (g.n - 1).bit_length()
@@ -343,12 +313,6 @@ def recognize_class(g: Graph) -> ClassResult:
     if is_connected(g) and g.m == g.n:
         return meg_unicyclic(g)
     raise UnrecognizedClassError("graph matches no class with a closed-form MEG-set")
-
-
-def _positions(base: ClassResult, n: int) -> list[int]:
-    if base.meg_number == n:
-        return list(range(n))
-    return [0, n // 3, 2 * n // 3]
 
 
 def _multipartite_parts(g: Graph) -> list[list[int]] | None:

@@ -39,6 +39,12 @@ EXIT_UNRECOGNIZED = 5
 
 def parse_graph_text(text: str) -> Graph:
     """Parse the "n m" / edge-list format, '#' comments ignored."""
+    return build_graph(*_edge_list(text), strict=True)
+
+
+def _edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the edge lines of a graph file, before any check
+    of the graph itself."""
     rows = []
     for line in text.splitlines():
         body = line.strip()
@@ -64,7 +70,7 @@ def parse_graph_text(text: str) -> Graph:
             edges.append((int(row[0]), int(row[1])))
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line: {exc}") from None
-    return build_graph(n, edges, strict=True)
+    return n, edges
 
 
 def format_graph_text(g: Graph, comment: str | None = None) -> str:
@@ -77,13 +83,25 @@ def format_graph_text(g: Graph, comment: str | None = None) -> str:
 
 
 def _read_graph(path: str) -> Graph:
+    """Read a graph file for a command that needs a connected graph.
+
+    A connected graph has n <= m + 1, so a larger header n is rejected
+    before its adjacency lists are allocated.
+    """
     if path == "-":
-        return parse_graph_text(sys.stdin.read())
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph_text(fh.read())
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from None
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise GraphFormatError(f"cannot read {path}: {exc}") from None
+    n, edges = _edge_list(text)
+    if n >= 2 and n > len(edges) + 1:
+        raise DisconnectedGraphError(
+            f"input graph is disconnected: {n} vertices need at least {n - 1} edges, got {len(edges)}"
+        )
+    return build_graph(n, edges, strict=True)
 
 
 def _parse_vertex_list(text: str) -> list[int]:
@@ -233,48 +251,40 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if report.detected else EXIT_NEGATIVE
 
 
+# family -> (parameter count, None for "two or more"; constructor).  The seeded
+# families take --seed as their last argument.
+GENERATORS = {
+    "path": (1, classes.gen_path),
+    "cycle": (1, classes.gen_cycle),
+    "complete": (1, classes.gen_complete),
+    "star": (1, classes.gen_star),
+    "multipartite": (None, lambda *parts: classes.gen_multipartite(list(parts))),
+    "hypercube": (1, classes.gen_hypercube),
+    "grid": (2, classes.gen_grid),
+    "tree": (1, randgraphs.random_tree),
+    "unicyclic": (2, randgraphs.random_unicyclic),
+    "connected": (2, randgraphs.random_connected),
+    "tightness": (2, structure.gen_tightness_family),
+}
+SEEDED_FAMILIES = {"tree", "unicyclic", "connected"}
+
+
 def cmd_generate(args) -> int:
     family = args.family
     params = args.params
-    need = {
-        "path": 1, "cycle": 1, "complete": 1, "star": 1, "hypercube": 1,
-        "grid": 2, "tree": 1, "unicyclic": 2, "connected": 2, "tightness": 2,
-    }
-    if family != "multipartite" and len(params) != need[family]:
-        raise GraphFormatError(
-            f"family {family} takes {need[family]} parameter(s), got {len(params)}"
-        )
-    if family == "multipartite" and len(params) < 2:
+    arity, make = GENERATORS[family]
+    if arity is None and len(params) < 2:
         raise GraphFormatError("multipartite needs at least 2 part sizes")
+    if arity is not None and len(params) != arity:
+        raise GraphFormatError(f"family {family} takes {arity} parameter(s), got {len(params)}")
+    seed = [args.seed] if family in SEEDED_FAMILIES else []
+    comment = f"megset generate {family} " + " ".join(str(p) for p in params)
+    if seed:
+        comment += f" seed={args.seed}"
     try:
-        if family == "path":
-            g = classes.gen_path(params[0])
-        elif family == "cycle":
-            g = classes.gen_cycle(params[0])
-        elif family == "complete":
-            g = classes.gen_complete(params[0])
-        elif family == "star":
-            g = classes.gen_star(params[0])
-        elif family == "multipartite":
-            g = classes.gen_multipartite(list(params))
-        elif family == "hypercube":
-            g = classes.gen_hypercube(params[0])
-        elif family == "grid":
-            g = classes.gen_grid(params[0], params[1])
-        elif family == "tree":
-            g = randgraphs.random_tree(params[0], args.seed)
-        elif family == "unicyclic":
-            g = randgraphs.random_unicyclic(params[0], params[1], args.seed)
-        elif family == "connected":
-            g = randgraphs.random_connected(params[0], params[1], args.seed)
-        else:
-            g = structure.gen_tightness_family(params[0], params[1])
+        g = make(*params, *seed)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
-    random_families = {"tree", "unicyclic", "connected"}
-    comment = f"megset generate {family} " + " ".join(str(p) for p in params)
-    if family in random_families:
-        comment += f" seed={args.seed}"
     sys.stdout.write(format_graph_text(g, comment))
     return EXIT_OK
 
@@ -283,14 +293,7 @@ def cmd_invariants(args) -> int:
     started = time.perf_counter()
     g = _read_graph(args.file)
     _require_connected_input(g)
-    fes = structure.feedback_edge_number(g)
-    leaves = len(structure.leaf_set(g))
-    if fes == 0:
-        bound = leaves
-    elif fes == 1:
-        bound = leaves + 4
-    else:
-        bound = 9 * fes + leaves - 8
+    bound = structure.fes_budget(structure.feedback_edge_number(g), len(structure.leaf_set(g)))
     result = {
         "forced_count": len(forced_vertices(g)) if g.m else 0,
         "upper_bound": bound,
@@ -462,13 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="emit a graph file for a named family")
-    p.add_argument(
-        "family",
-        choices=(
-            "path", "cycle", "complete", "star", "multipartite",
-            "hypercube", "grid", "tree", "unicyclic", "connected", "tightness",
-        ),
-    )
+    p.add_argument("family", choices=tuple(GENERATORS))
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)

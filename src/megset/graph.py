@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .errors import DisconnectedGraphError, GraphFormatError
@@ -19,6 +19,7 @@ INFINITE = float("inf")
 
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[float, ...], ...]
+CountMatrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,9 @@ class Graph:
     """Simple undirected graph: edge list plus sorted adjacency, both immutable.
 
     Connectivity is not an invariant; operations that need it check it.
+    Derived tables (the edge set, ``geodesy``) are cached on the instance,
+    so each is computed once per graph and freed with it; equality and
+    hashing see only ``n``, ``edges`` and ``adj``.
     """
 
     n: int
@@ -42,15 +46,22 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self._edge_set()
+        return (u, v) in self._edge_set
 
+    @cached_property
     def _edge_set(self) -> frozenset[Edge]:
-        return _edge_set_of(self)
+        return frozenset(self.edges)
 
-
-@lru_cache(maxsize=256)
-def _edge_set_of(g: Graph) -> frozenset[Edge]:
-    return frozenset(g.edges)
+    @cached_property
+    def geodesy(self) -> tuple[DistanceMatrix, CountMatrix]:
+        """All-pairs distances and geodesic counts (one counting BFS per vertex)."""
+        dists = []
+        counts = []
+        for s in range(self.n):
+            d, c = _bfs_with_counts(self, s)
+            dists.append(tuple(d))
+            counts.append(tuple(c))
+        return tuple(dists), tuple(counts)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], *, strict: bool = False) -> Graph:
@@ -98,9 +109,14 @@ def normalize_edge(g: Graph, e: tuple[int, int]) -> Edge:
     return (u, v)
 
 
-def bfs_distances(g: Graph, source: int) -> list[float]:
-    """Hop distances from source to every vertex (INFINITE if unreachable)."""
+def bfs_distances(g: Graph, source: int, skip: Edge | None = None) -> list[float]:
+    """Hop distances from source to every vertex (INFINITE if unreachable).
+
+    With ``skip = (u, v)`` the distances are those of G-(u,v), without
+    materializing G-(u,v).
+    """
     _check_vertex(g, source)
+    eu, ev = skip if skip is not None else (-1, -1)
     dist: list[float] = [INFINITE] * g.n
     dist[source] = 0
     q = deque([source])
@@ -109,6 +125,8 @@ def bfs_distances(g: Graph, source: int) -> list[float]:
         dx = dist[x] + 1
         for y in g.adj[x]:
             if dist[y] == INFINITE:
+                if (x == eu and y == ev) or (x == ev and y == eu):
+                    continue
                 dist[y] = dx
                 q.append(y)
     return dist
@@ -116,22 +134,8 @@ def bfs_distances(g: Graph, source: int) -> list[float]:
 
 def distance(g: Graph, u: int, v: int) -> float:
     """BFS hop distance between u and v; INFINITE across components."""
-    _check_vertex(g, u)
     _check_vertex(g, v)
-    if u == v:
-        return 0
-    dist = [-1] * g.n
-    dist[u] = 0
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        for y in g.adj[x]:
-            if dist[y] < 0:
-                if y == v:
-                    return dist[x] + 1
-                dist[y] = dist[x] + 1
-                q.append(y)
-    return INFINITE
+    return bfs_distances(g, u)[v]
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
@@ -173,43 +177,14 @@ def _bfs_with_counts(g: Graph, source: int) -> tuple[list[float], list[int]]:
 
 def distance_without_edge(g: Graph, e: tuple[int, int], u: int, v: int) -> float:
     """BFS distance between u and v in G-e, without materializing G-e."""
-    eu, ev = normalize_edge(g, e)
-    _check_vertex(g, u)
+    skip = normalize_edge(g, e)
     _check_vertex(g, v)
-    if u == v:
-        return 0
-    dist: list[float] = [INFINITE] * g.n
-    dist[u] = 0
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        for y in g.adj[x]:
-            if (x == eu and y == ev) or (x == ev and y == eu):
-                continue
-            if dist[y] == INFINITE:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                q.append(y)
-    return INFINITE
+    return bfs_distances(g, u, skip)[v]
 
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single component (vacuously true for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    q = deque([0])
-    reached = 1
-    while q:
-        x = q.popleft()
-        for y in g.adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                reached += 1
-                q.append(y)
-    return reached == g.n
+    return g.n <= 1 or INFINITE not in bfs_distances(g, 0)
 
 
 def require_connected(g: Graph) -> None:
@@ -223,7 +198,7 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
     Isolated vertices and leaves qualify: their neighborhoods are
     trivially cliques.
     """
-    edge_set = g._edge_set()
+    edge_set = g._edge_set
     out = []
     for v in range(g.n):
         nb = g.adj[v]

@@ -12,24 +12,16 @@ from __future__ import annotations
 
 from .errors import SizeCapExceededError
 from .graph import Graph, Edge, require_connected
-from .monitoring import _monitors, geodesy
+from .monitoring import _monitors, _sorted_set
 
 STRONG_EG_DEFAULT_CAP = 10**6
-
-
-def _members(g: Graph, s) -> list[int]:
-    out = sorted(set(s))
-    for v in out:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside [0,{g.n})")
-    return out
 
 
 def is_geodetic_set(g: Graph, s) -> bool:
     """Every vertex lies on some geodesic between two vertices of s."""
     require_connected(g)
-    members = _members(g, s)
-    D, _ = geodesy(g)
+    members = _sorted_set(g, s)
+    D, _ = g.geodesy
     in_s = set(members)
     for v in range(g.n):
         if v in in_s:
@@ -46,8 +38,8 @@ def is_geodetic_set(g: Graph, s) -> bool:
 def is_edge_geodetic_set(g: Graph, s) -> bool:
     """Every edge lies on some geodesic between two vertices of s."""
     require_connected(g)
-    members = _members(g, s)
-    D, _ = geodesy(g)
+    members = _sorted_set(g, s)
+    D, _ = g.geodesy
     for (u, v) in g.edges:
         if not any(
             D[x][u] + 1 + D[v][y] == D[x][y] or D[x][v] + 1 + D[u][y] == D[x][y]
@@ -66,8 +58,8 @@ def is_strong_edge_geodetic_set(g: Graph, s, *, cap: int = STRONG_EG_DEFAULT_CAP
     where it exceeds the cap raise instead of running unbounded.
     """
     require_connected(g)
-    members = _members(g, s)
-    D, C = geodesy(g)
+    members = _sorted_set(g, s)
+    D, C = g.geodesy
     product = 1
     pairs = []
     for i, x in enumerate(members):
@@ -87,40 +79,44 @@ def is_strong_edge_geodetic_set(g: Graph, s, *, cap: int = STRONG_EG_DEFAULT_CAP
     for i in range(len(choice_lists) - 1, -1, -1):
         suffix[i] = suffix[i + 1].union(*choice_lists[i])
 
-    def backtrack(i: int, covered: frozenset[Edge]) -> bool:
+    # depth-first over the pairs, choices in list order; an explicit stack
+    # because there can be thousands of pairs
+    stack = [(0, frozenset(), frozenset())]
+    while stack:
+        i, covered, edge_set = stack.pop()
+        covered |= edge_set
         if len(covered) == len(target):
             return True
-        if i == len(choice_lists):
-            return False
-        if not (target - covered) <= suffix[i]:
-            return False
-        for edge_set in choice_lists[i]:
-            if backtrack(i + 1, covered | edge_set):
-                return True
-        return False
-
-    return backtrack(0, frozenset())
+        if i == len(choice_lists) or not (target - covered) <= suffix[i]:
+            continue
+        stack.extend((i + 1, covered, es) for es in reversed(choice_lists[i]))
+    return False
 
 
 def _geodesic_edge_sets(g: Graph, D, x: int, y: int) -> list[frozenset[Edge]]:
-    """Edge sets of all geodesics from x to y, walking the distance DAG."""
+    """Edge sets of all geodesics from x to y, walking the distance DAG.
+
+    Iterative, since a geodesic can be longer than the recursion limit.
+    """
+    dx = D[x]
+
+    def steps_toward_x(v: int):
+        return (w for w in g.adj[v] if dx[w] + 1 == dx[v])
+
     out: list[frozenset[Edge]] = []
-    path: list[int] = [y]
-
-    def walk(v: int) -> None:
-        if v == x:
-            rev = path[::-1]
-            out.append(frozenset(
-                (a, b) if a < b else (b, a) for a, b in zip(rev, rev[1:])
-            ))
-            return
-        for w in g.adj[v]:
-            if D[x][w] + 1 == D[x][v]:
-                path.append(w)
-                walk(w)
-                path.pop()
-
-    walk(y)
+    path = [y]
+    pending = [steps_toward_x(y)]
+    while pending:
+        w = next(pending[-1], None)
+        if w is None:
+            pending.pop()
+            path.pop()
+        elif w == x:
+            walk = path + [x]
+            out.append(frozenset((a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])))
+        else:
+            path.append(w)
+            pending.append(steps_toward_x(w))
     return out
 
 
@@ -128,8 +124,8 @@ def is_dem_set(g: Graph, s) -> bool:
     """Distance-edge-monitoring: each edge is monitored by some pair with
     one endpoint in s and the other anywhere in the graph."""
     require_connected(g)
-    members = _members(g, s)
-    D, C = geodesy(g)
+    members = _sorted_set(g, s)
+    D, C = g.geodesy
     for (u, v) in g.edges:
         if not any(
             x != y and _monitors(D, C, x, y, u, v)

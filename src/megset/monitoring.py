@@ -16,13 +16,12 @@ one BFS per (pair, edge) query.  The test suite pins all three routes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .graph import (
     INFINITE,
     Edge,
     Graph,
-    _bfs_with_counts,
+    bfs_distances,
     distance,
     distance_without_edge,
     normalize_edge,
@@ -56,18 +55,6 @@ class DetectionReport:
     @property
     def detected(self) -> bool:
         return bool(self.observations)
-
-
-@lru_cache(maxsize=128)
-def geodesy(g: Graph) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...]]:
-    """All-pairs distances and geodesic counts (one counting BFS per vertex)."""
-    dists = []
-    counts = []
-    for s in range(g.n):
-        d, c = _bfs_with_counts(g, s)
-        dists.append(tuple(d))
-        counts.append(tuple(c))
-    return tuple(dists), tuple(counts)
 
 
 def _monitors(D, C, x: int, y: int, u: int, v: int) -> bool:
@@ -108,30 +95,16 @@ def monitored_edges(g: Graph, s) -> set[Edge]:
     """All edges monitored by at least one pair drawn from s."""
     require_connected(g)
     members = _sorted_set(g, s)
-    D, C = geodesy(g)
-    out: set[Edge] = set()
-    for (u, v) in g.edges:
-        for i, x in enumerate(members):
-            hit = False
-            for y in members[i + 1:]:
-                if _monitors(D, C, x, y, u, v):
-                    out.add((u, v))
-                    hit = True
-                    break
-            if hit:
-                break
-    return out
+    D, C = g.geodesy
+    return {(u, v) for (u, v) in g.edges if _edge_covered(D, C, members, u, v)}
 
 
 def is_meg_set(g: Graph, s) -> bool:
     """True iff every edge of g is monitored by some pair of s."""
     require_connected(g)
     members = _sorted_set(g, s)
-    D, C = geodesy(g)
-    for (u, v) in g.edges:
-        if not _edge_covered(D, C, members, u, v):
-            return False
-    return True
+    D, C = g.geodesy
+    return all(_edge_covered(D, C, members, u, v) for (u, v) in g.edges)
 
 
 def _edge_covered(D, C, members: list[int], u: int, v: int) -> bool:
@@ -151,7 +124,7 @@ def witness_report(g: Graph, s, max_witnesses_per_edge: int = 3) -> WitnessRepor
     if max_witnesses_per_edge < 1:
         raise ValueError("max_witnesses_per_edge must be positive")
     members = _sorted_set(g, s)
-    D, C = geodesy(g)
+    D, C = g.geodesy
     witnesses: dict[Edge, list[tuple[int, int]]] = {}
     uncovered: list[Edge] = []
     for (u, v) in g.edges:
@@ -180,9 +153,9 @@ def simulate_failure(g: Graph, s, e: tuple[int, int]) -> DetectionReport:
     eu, ev = normalize_edge(g, e)
     members = _sorted_set(g, s)
     report = DetectionReport(failed_edge=(eu, ev))
-    D, _ = geodesy(g)
+    D, _ = g.geodesy
     # one BFS per probe on G-e covers all pairs of s
-    new_dist = {x: _bfs_without_edge(g, eu, ev, x) for x in members}
+    new_dist = {x: bfs_distances(g, x, (eu, ev)) for x in members}
     for i, x in enumerate(members):
         for y in members[i + 1:]:
             old = D[x][y]
@@ -190,20 +163,3 @@ def simulate_failure(g: Graph, s, e: tuple[int, int]) -> DetectionReport:
             if new > old:
                 report.observations.append(ProbeObservation(x, y, old, new))
     return report
-
-
-def _bfs_without_edge(g: Graph, eu: int, ev: int, source: int) -> list[float]:
-    from collections import deque
-
-    dist: list[float] = [INFINITE] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        x = q.popleft()
-        for y in g.adj[x]:
-            if (x == eu and y == ev) or (x == ev and y == eu):
-                continue
-            if dist[y] == INFINITE:
-                dist[y] = dist[x] + 1
-                q.append(y)
-    return dist

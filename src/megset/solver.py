@@ -13,7 +13,6 @@ independent of any pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import SizeCapExceededError
@@ -26,7 +25,7 @@ from .graph import (
     simplicial_vertices,
     twin_vertices,
 )
-from .monitoring import _monitors, geodesy, is_meg_set
+from .monitoring import _monitors, is_meg_set
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -47,14 +46,13 @@ def forced_vertices(g: Graph) -> frozenset[int]:
     return simplicial_vertices(g) | twin_vertices(g)
 
 
-@lru_cache(maxsize=64)
 def _witness_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Per edge, the bitmasks of all pairs that monitor it.
 
     Every list is nonempty: in a simple graph an edge is always
     monitored by its own endpoints.
     """
-    D, C = geodesy(g)
+    D, C = g.geodesy
     per_edge = []
     for (u, v) in g.edges:
         pairs = []
@@ -66,7 +64,7 @@ def _witness_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(per_edge)
 
 
-def _implied_seed(g: Graph, structural: frozenset[int]) -> int:
+def _implied_seed(masks: tuple[tuple[int, ...], ...], structural: frozenset[int]) -> int:
     """Bitmask of all vertices known to lie in every MEG-set.
 
     Beyond the structurally forced vertices (simplicial, twins), any
@@ -76,7 +74,7 @@ def _implied_seed(g: Graph, structural: frozenset[int]) -> int:
     seed = 0
     for v in structural:
         seed |= 1 << v
-    for pairs in _witness_masks(g):
+    for pairs in masks:
         common = pairs[0]
         for pm in pairs[1:]:
             common &= pm
@@ -86,7 +84,7 @@ def _implied_seed(g: Graph, structural: frozenset[int]) -> int:
     return seed
 
 
-def _coverage_requirements(g: Graph, seed: int) -> list[tuple[int, ...]]:
+def _coverage_requirements(masks: tuple[tuple[int, ...], ...], seed: int) -> list[tuple[int, ...]]:
     """Per still-uncovered edge, the free-vertex masks that would cover it.
 
     Each requirement is a monitoring pair minus the seed bits; an empty
@@ -94,7 +92,7 @@ def _coverage_requirements(g: Graph, seed: int) -> list[tuple[int, ...]]:
     Edges are ordered fewest-options-first so failing candidates die fast.
     """
     reqs = []
-    for pairs in _witness_masks(g):
+    for pairs in masks:
         opts = sorted({pm & ~seed for pm in pairs})
         if opts[0] == 0:
             continue
@@ -110,10 +108,11 @@ def _layered_search(g: Graph, *, cap: int, collect_all: bool, limit: int | None)
     if g.n > cap:
         raise SizeCapExceededError(f"graph has {g.n} vertices, solver cap is {cap}")
     structural = forced_vertices(g)
-    seed = _implied_seed(g, structural)
+    masks = _witness_masks(g)
+    seed = _implied_seed(masks, structural)
     seed_size = bin(seed).count("1")
     free = [v for v in range(g.n) if not (seed >> v) & 1]
-    reqs = _coverage_requirements(g, seed)
+    reqs = _coverage_requirements(masks, seed)
     bit = [1 << v for v in range(g.n)]
     explored = 0
     for size in range(seed_size, g.n + 1):
@@ -201,5 +200,6 @@ def compose_via_cut_vertex(g: Graph, v: int, component_sets: list) -> frozenset[
             raise ValueError("component set is not an MEG-set of its piece")
         union |= cset
     result = frozenset(union - {v})
-    assert is_meg_set(g, result), "cut-vertex composition must yield an MEG-set"
+    if not is_meg_set(g, result):
+        raise RuntimeError("cut-vertex composition did not yield an MEG-set")
     return result

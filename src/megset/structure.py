@@ -89,7 +89,8 @@ def base_graph(g: Graph) -> CoreDecomposition:
             for comp in connected_components(forest):
                 tree = frozenset(removed[i] for i in comp)
                 roots = {w for v in tree for w in g.adj[v] if w in base_vertices}
-                assert len(roots) == 1, "a hanging tree attaches to exactly one base vertex"
+                if len(roots) != 1:
+                    raise RuntimeError("a hanging tree must attach to exactly one base vertex")
                 hanging.append((roots.pop(), tree))
         hanging.sort()
     return CoreDecomposition(
@@ -138,7 +139,8 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
                     cycles.append(tuple(walk))
                 else:
                     paths.append(tuple(walk))
-        assert len(used) == base.m, "every base edge lies on exactly one core path or cycle"
+        if len(used) != base.m:
+            raise RuntimeError("every base edge must lie on exactly one core path or cycle")
     dec.core_vertices = core
     dec.proper_core_paths = paths
     dec.core_cycles = cycles
@@ -190,27 +192,18 @@ def fes_meg_construction(g: Graph) -> FesConstruction:
         raise ValueError("construction needs at least one edge")
     k = g.m - g.n + 1
     leaves = leaf_set(g)
-    if k == 0:
-        chosen: set[int] = set(leaves)
-        budget = len(leaves)
-    elif k == 1:
+    chosen: set[int] = set(leaves)
+    if k >= 1:
         dec = core_decomposition(g)
-        walk = dec.core_cycles[0]
-        length = len(walk) - 1
-        if length == 4:
-            chosen = set(walk[:4])
-        else:
-            chosen = {walk[0], walk[length // 3], walk[2 * length // 3]}
-        chosen |= leaves
-        budget = len(leaves) + 4
-    else:
-        dec = core_decomposition(g)
-        chosen = set(leaves) | set(dec.core_vertices)
+        chosen |= dec.core_vertices
         for path in dec.proper_core_paths:
             chosen.update(_path_medians(path))
         for walk in dec.core_cycles:
             chosen.update(_cycle_picks(walk))
-        budget = 9 * k + len(leaves) - 8
+        if k == 1:
+            # a lone cycle has no core vertex, so its anchor is probed too
+            chosen.add(dec.core_cycles[0][0])
+    budget = fes_budget(k, len(leaves))
     meg = frozenset(chosen)
     if len(meg) > budget:
         raise RuntimeError(
@@ -220,6 +213,16 @@ def fes_meg_construction(g: Graph) -> FesConstruction:
     if not is_meg_set(g, meg):
         raise RuntimeError("constructed set failed MEG verification")
     return FesConstruction(meg_set=meg, k=k, leaf_count=len(leaves), budget=budget)
+
+
+def fes_budget(k: int, leaf_count: int) -> int:
+    """Size bound met by `fes_meg_construction` at feedback edge number k:
+    the leaves for a tree, leaves + 4 for one cycle, else 9k + leaves - 8."""
+    if k == 0:
+        return leaf_count
+    if k == 1:
+        return leaf_count + 4
+    return 9 * k + leaf_count - 8
 
 
 def max_leaf_number(g: Graph, *, cap: int = MLN_VERTEX_CAP) -> int:

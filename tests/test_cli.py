@@ -215,6 +215,19 @@ def test_disconnected_exit_three(tmp_path, capsys):
         assert code == 3
 
 
+def test_header_too_large_rejected_before_building(tmp_path, capsys, monkeypatch):
+    # 10**12 vertices cannot be connected by 2 edges: exit 3 without allocating
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_graph ran")
+
+    monkeypatch.setattr("megset.cli.build_graph", no_build)
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000000 2\n0 1\n1 2\n")
+    for argv in (("solve", str(path)), ("verify", str(path), "--set", "0,2")):
+        code, _ = run_cli(capsys, *argv)
+        assert code == 3
+
+
 def test_parse_garbage_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3 zebra\n")

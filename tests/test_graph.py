@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,11 @@ from megset import (
     gen_hypercube,
     gen_path,
     is_connected,
+    is_meg_set,
+    minimum_meg,
     random_connected,
     simplicial_vertices,
+    simulate_failure,
     twin_vertices,
 )
 from megset.graph import delete_edge
@@ -49,6 +54,25 @@ def test_build_graph_rejects_self_loop():
 def test_build_graph_rejects_out_of_range():
     with pytest.raises(GraphFormatError):
         build_graph(3, [(0, 3)])
+
+
+def test_derived_tables_die_with_their_graph():
+    g = random_connected(12, 18, 5)
+    assert g.has_edge(*g.edges[0])
+    assert is_meg_set(g, range(g.n))
+    minimum_meg(g)
+    simulate_failure(g, range(g.n), g.edges[0])
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_warmed_graph_equals_fresh_copy():
+    warm = random_connected(12, 18, 5)
+    minimum_meg(warm)
+    fresh = random_connected(12, 18, 5)
+    assert warm == fresh and hash(warm) == hash(fresh)
 
 
 def test_build_graph_duplicate_handling():

@@ -5,6 +5,7 @@ import pytest
 from megset import (
     SizeCapExceededError,
     build_graph,
+    gen_complete,
     gen_cycle,
     gen_grid,
     gen_hypercube,
@@ -38,6 +39,12 @@ def test_is_strong_edge_geodetic_examples():
     assert is_strong_edge_geodetic_set(gen_cycle(6), {0, 2, 4})
     assert is_strong_edge_geodetic_set(gen_path(4), {0, 3})
     assert not is_strong_edge_geodetic_set(gen_cycle(4), {0, 2})
+
+
+def test_strong_edge_geodetic_deep_inputs():
+    # a geodesic longer than the recursion limit, and more pairs than it
+    assert is_strong_edge_geodetic_set(gen_path(1200), {0, 1199})
+    assert is_strong_edge_geodetic_set(gen_complete(50), range(50))
 
 
 def test_strong_edge_geodetic_cap():

@@ -20,7 +20,7 @@ from megset import (
     simulate_failure,
     witness_report,
 )
-from megset.monitoring import _monitors, geodesy
+from megset.monitoring import _monitors
 
 import oracles
 
@@ -101,7 +101,7 @@ def test_criterion_equivalence_three_routes():
     # enumeration oracle vs distance-increase vs count-product, all agree
     rng = random.Random(11)
     for g in _corpus(40, 10, 11):
-        D, C = geodesy(g)
+        D, C = g.geodesy
         for _ in range(5):
             e = g.edges[rng.randrange(g.m)]
             x, y = rng.sample(range(g.n), 2)
