@@ -201,7 +201,7 @@ def meg_unicyclic(g: Graph) -> ClassResult:
     consecutive probes (with leaves standing in for the attachment
     vertices) a unique geodesic, and a sparser set leaves some stretch
     with an equally short route the other way around, hence unmonitored.
-    Pure cycles reduce to the 3-probe construction (4 on a 4-cycle).
+    Pure cycles take meg_cycle's construction along the cycle.
     """
     prof = unicyclic_profile(g)
     k = prof.k
@@ -209,12 +209,8 @@ def meg_unicyclic(g: Graph) -> ClassResult:
     core = prof.core_on_cycle
     leaves = leaf_set(g)
     if not core:
-        if k == 4:
-            return ClassResult(4, frozenset(order), UNICYCLIC)
-        if k == 3:
-            return ClassResult(3, frozenset(order), UNICYCLIC)
-        wit = frozenset({order[0], order[k // 3], order[2 * k // 3]})
-        return ClassResult(3, wit, UNICYCLIC)
+        base = meg_cycle(k)
+        return ClassResult(base.meg_number, frozenset(order[i] for i in base.witness), UNICYCLIC)
     span = _unique_span(k)
     wit = set(leaves)
     extra = 0
@@ -289,9 +285,8 @@ def recognize_class(g: Graph) -> ClassResult:
     if is_tree(g) and g.m >= 1:
         return meg_tree(g)
     if is_connected(g) and g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n)):
-        order = unicyclic_profile(g).cycle_order
-        base = meg_cycle(g.n)
-        return ClassResult(base.meg_number, frozenset(order[i] for i in base.witness), CYCLE)
+        res = meg_unicyclic(g)
+        return ClassResult(res.meg_number, res.witness, CYCLE)
     if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:
         return meg_complete(g.n)
     d = (g.n - 1).bit_length()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import SizeCapExceededError
 from .graph import Graph, Edge, require_connected
-from .monitoring import _monitors, _sorted_set
+from .monitoring import _monitoring_pairs, _sorted_set
 
 STRONG_EG_DEFAULT_CAP = 10**6
 
@@ -124,13 +124,6 @@ def is_dem_set(g: Graph, s) -> bool:
     """Distance-edge-monitoring: each edge is monitored by some pair with
     one endpoint in s and the other anywhere in the graph."""
     require_connected(g)
-    members = _sorted_set(g, s)
-    D, C = g.geodesy
-    for (u, v) in g.edges:
-        if not any(
-            x != y and _monitors(D, C, x, y, u, v)
-            for x in members
-            for y in range(g.n)
-        ):
-            return False
-    return True
+    # the pair (x, x) never matches: at distance 0 no edge is on its geodesic
+    rows = [(x, range(g.n)) for x in _sorted_set(g, s)]
+    return all(next(_monitoring_pairs(g, e, rows), None) is not None for e in g.edges)

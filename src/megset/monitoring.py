@@ -11,11 +11,18 @@ of geodesics through e, which is sigma(x,u) * sigma(v,y) in the feasible
 orientation, equals sigma(x,y).  One counting BFS per vertex replaces
 one BFS per (pair, edge) query.  The test suite pins all three routes
 (path enumeration, distance increase, count product) to each other.
+
+Every set-level check reads the same scan, _monitoring_pairs, which
+yields the monitoring pairs of one edge among given candidate rows:
+is_meg_set and monitored_edges take its first pair, witness_report its
+first few, and the solver's mask table and the DEM check in hierarchy
+scan wider rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .graph import (
     INFINITE,
@@ -91,28 +98,36 @@ def _sorted_set(g: Graph, s) -> list[int]:
     return out
 
 
+def _monitoring_pairs(g: Graph, e: Edge, rows):
+    """The pairs (x, y) that monitor edge e, in the order of rows.
+
+    rows is a sequence of (x, ys); x is paired with each y of ys in turn.
+    """
+    D, C = g.geodesy
+    u, v = e
+    for x, ys in rows:
+        for y in ys:
+            if _monitors(D, C, x, y, u, v):
+                yield x, y
+
+
+def _member_rows(members: list[int]) -> list[tuple[int, list[int]]]:
+    """The pairs of a sorted set, lexicographic, as rows for the scan."""
+    return [(x, members[i + 1:]) for i, x in enumerate(members)]
+
+
 def monitored_edges(g: Graph, s) -> set[Edge]:
     """All edges monitored by at least one pair drawn from s."""
     require_connected(g)
-    members = _sorted_set(g, s)
-    D, C = g.geodesy
-    return {(u, v) for (u, v) in g.edges if _edge_covered(D, C, members, u, v)}
+    rows = _member_rows(_sorted_set(g, s))
+    return {e for e in g.edges if next(_monitoring_pairs(g, e, rows), None) is not None}
 
 
 def is_meg_set(g: Graph, s) -> bool:
     """True iff every edge of g is monitored by some pair of s."""
     require_connected(g)
-    members = _sorted_set(g, s)
-    D, C = g.geodesy
-    return all(_edge_covered(D, C, members, u, v) for (u, v) in g.edges)
-
-
-def _edge_covered(D, C, members: list[int], u: int, v: int) -> bool:
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            if _monitors(D, C, x, y, u, v):
-                return True
-    return False
+    rows = _member_rows(_sorted_set(g, s))
+    return all(next(_monitoring_pairs(g, e, rows), None) is not None for e in g.edges)
 
 
 def witness_report(g: Graph, s, max_witnesses_per_edge: int = 3) -> WitnessReport:
@@ -121,25 +136,14 @@ def witness_report(g: Graph, s, max_witnesses_per_edge: int = 3) -> WitnessRepor
     The uncovered list is always complete regardless of the cap.
     """
     require_connected(g)
+    rows = _member_rows(_sorted_set(g, s))
     if max_witnesses_per_edge < 1:
         raise ValueError("max_witnesses_per_edge must be positive")
-    members = _sorted_set(g, s)
-    D, C = g.geodesy
-    witnesses: dict[Edge, list[tuple[int, int]]] = {}
-    uncovered: list[Edge] = []
-    for (u, v) in g.edges:
-        found: list[tuple[int, int]] = []
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                if _monitors(D, C, x, y, u, v):
-                    found.append((x, y))
-                    if len(found) >= max_witnesses_per_edge:
-                        break
-            if len(found) >= max_witnesses_per_edge:
-                break
-        witnesses[(u, v)] = found
-        if not found:
-            uncovered.append((u, v))
+    witnesses = {
+        e: list(islice(_monitoring_pairs(g, e, rows), max_witnesses_per_edge))
+        for e in g.edges
+    }
+    uncovered = [e for e, found in witnesses.items() if not found]
     return WitnessReport(witnesses=witnesses, uncovered=uncovered)
 
 

@@ -1,13 +1,13 @@
 """Exact minimum MEG-set search.
 
-The search seeds with vertices that provably belong to every MEG-set
-(simplicial vertices and twins, plus any vertex appearing in every
-monitoring pair of some edge) and then enumerates supersets of the seed
-by increasing cardinality, in lexicographic order, returning the first
-candidate that monitors every edge.  Superset closure of the predicate
-makes the first hit a minimum, and the enumeration order makes it the
-lexicographically smallest minimum, so results are deterministic and
-independent of any pruning.
+The search seeds with the vertices that provably belong to every MEG-set
+(any vertex appearing in every monitoring pair of some edge, which
+includes all simplicial vertices and twins) and then enumerates
+supersets of the seed by increasing cardinality, in lexicographic order,
+returning the first candidate that monitors every edge.  Superset
+closure of the predicate makes the first hit a minimum, and the
+enumeration order makes it the lexicographically smallest minimum, so
+results are deterministic and independent of any pruning.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .graph import (
     simplicial_vertices,
     twin_vertices,
 )
-from .monitoring import _monitors, is_meg_set
+from .monitoring import _monitoring_pairs, is_meg_set
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -52,28 +52,24 @@ def _witness_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     Every list is nonempty: in a simple graph an edge is always
     monitored by its own endpoints.
     """
-    D, C = g.geodesy
-    per_edge = []
-    for (u, v) in g.edges:
-        pairs = []
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                if _monitors(D, C, x, y, u, v):
-                    pairs.append((1 << x) | (1 << y))
-        per_edge.append(tuple(pairs))
-    return tuple(per_edge)
+    rows = [(x, range(x + 1, g.n)) for x in range(g.n)]
+    return tuple(
+        tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(g, e, rows))
+        for e in g.edges
+    )
 
 
-def _implied_seed(masks: tuple[tuple[int, ...], ...], structural: frozenset[int]) -> int:
+def _implied_seed(masks: tuple[tuple[int, ...], ...]) -> int:
     """Bitmask of all vertices known to lie in every MEG-set.
 
-    Beyond the structurally forced vertices (simplicial, twins), any
-    vertex common to all monitoring pairs of some edge is unavoidable:
-    that edge cannot be covered without it.
+    A vertex common to all monitoring pairs of some edge is unavoidable:
+    that edge cannot be covered without it.  The structurally forced
+    vertices (simplicial vertices and twins) are among these: each lies
+    in every monitoring pair of one of its own edges, because a
+    simplicial vertex is never interior to a geodesic and a geodesic
+    through a twin has a copy through the other twin.
     """
     seed = 0
-    for v in structural:
-        seed |= 1 << v
     for pairs in masks:
         common = pairs[0]
         for pm in pairs[1:]:
@@ -109,7 +105,7 @@ def _layered_search(g: Graph, *, cap: int, collect_all: bool, limit: int | None)
         raise SizeCapExceededError(f"graph has {g.n} vertices, solver cap is {cap}")
     structural = forced_vertices(g)
     masks = _witness_masks(g)
-    seed = _implied_seed(masks, structural)
+    seed = _implied_seed(masks)
     seed_size = bin(seed).count("1")
     free = [v for v in range(g.n) if not (seed >> v) & 1]
     reqs = _coverage_requirements(masks, seed)

@@ -72,6 +72,20 @@ def is_meg_by_enumeration(g: Graph, s) -> bool:
     return True
 
 
+def is_dem_by_enumeration(g: Graph, s) -> bool:
+    """Every edge is monitored by a pair of a vertex of s and any other vertex."""
+    members = sorted(set(s))
+    for e in g.edges:
+        if not any(
+            monitors_by_enumeration(g, x, y, e)
+            for x in members
+            for y in range(g.n)
+            if y != x
+        ):
+            return False
+    return True
+
+
 def all_minimum_megs_bruteforce(g: Graph) -> list[frozenset[int]]:
     """Every minimum MEG-set, by unpruned sweep over all vertex subsets.
 

@@ -235,10 +235,17 @@ def test_recognize_class_dispatch():
 
 def test_recognize_class_relabeled_cycle():
     # same cycle, scrambled vertex names: witness must fit the labeling
-    g = build_graph(5, [(3, 1), (1, 4), (4, 0), (0, 2), (2, 3)])
-    res = recognize_class(g)
-    assert res.theorem == "CYCLE" and res.meg_number == 3
-    assert is_meg_set(g, res.witness)
+    graphs = [build_graph(5, [(3, 1), (1, 4), (4, 0), (0, 2), (2, 3)])]
+    rng = random.Random(29)
+    for k in range(3, 30):
+        names = list(range(k))
+        rng.shuffle(names)
+        graphs.append(build_graph(k, [(names[i], names[(i + 1) % k]) for i in range(k)]))
+    for g in graphs:
+        res = recognize_class(g)
+        assert res.theorem == "CYCLE" and res.meg_number == meg_cycle(g.n).meg_number
+        assert res.witness == meg_unicyclic(g).witness
+        assert is_meg_set(g, res.witness)
 
 
 def test_random_class_instances_match_solver():

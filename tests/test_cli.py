@@ -205,14 +205,19 @@ def test_invariants_theta(tmp_path, capsys):
 
 
 def test_disconnected_exit_three(tmp_path, capsys):
-    path = write_graph(tmp_path, parse_graph_text("4 2\n0 1\n2 3\n"))
-    for argv in (
-        ("verify", path, "--set", "0,1"),
-        ("solve", path),
-        ("invariants", path),
-    ):
-        code, _ = run_cli(capsys, *argv)
-        assert code == 3
+    # too few edges for the header's n, and enough edges but two components
+    for i, text in enumerate(("4 2\n0 1\n2 3\n", "5 4\n0 1\n1 2\n0 2\n3 4\n")):
+        path = write_graph(tmp_path, parse_graph_text(text), f"g{i}.txt")
+        for argv in (
+            ("verify", path, "--set", "0,1"),
+            ("solve", path),
+            ("invariants", path),
+            ("construct", path, "--method", "fes"),
+            ("construct", path, "--method", "class"),
+            ("simulate", path, "--set", "0,1", "--fail-edge", "0,1"),
+        ):
+            code, _ = run_cli(capsys, *argv)
+            assert code == 3
 
 
 def test_header_too_large_rejected_before_building(tmp_path, capsys, monkeypatch):
@@ -232,6 +237,9 @@ def test_parse_garbage_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3 zebra\n")
     code, _ = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    # a probe outside the graph is an input error too
+    code, _ = run_cli(capsys, "verify", write_graph(tmp_path, gen_cycle(5)), "--set", "0,99")
     assert code == 2
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from megset import (
     gen_complete,
     gen_cycle,
     gen_path,
+    is_dem_set,
     is_meg_set,
     minimum_meg,
     monitored_edges,
@@ -21,6 +23,7 @@ from megset import (
     witness_report,
 )
 from megset.monitoring import _monitors
+from megset.solver import _witness_masks
 
 import oracles
 
@@ -109,6 +112,45 @@ def test_criterion_equivalence_three_routes():
             by_distance = pair_monitors_edge(g, x, y, e)
             by_counts = _monitors(D, C, x, y, e[0], e[1])
             assert by_enum == by_distance == by_counts
+
+
+# Each consumer of the one monitoring-pair scan, pinned to the enumeration
+# oracle over the pairs it scans.
+
+def test_witness_report_uncapped_matches_enumeration():
+    rng = random.Random(31)
+    for g in _corpus(25, 9, 31):
+        s = rng.sample(range(g.n), rng.randint(1, g.n))
+        rep = witness_report(g, s, max_witnesses_per_edge=len(s) ** 2)
+        for e in g.edges:
+            want = [
+                (x, y)
+                for x, y in combinations(sorted(s), 2)
+                if oracles.monitors_by_enumeration(g, x, y, e)
+            ]
+            assert rep.witnesses[e] == want
+        assert rep.uncovered == [e for e in g.edges if not rep.witnesses[e]]
+
+
+def test_witness_masks_match_enumeration():
+    for g in _corpus(25, 9, 37):
+        want = tuple(
+            tuple(
+                (1 << x) | (1 << y)
+                for x, y in combinations(range(g.n), 2)
+                if oracles.monitors_by_enumeration(g, x, y, e)
+            )
+            for e in g.edges
+        )
+        assert _witness_masks(g) == want
+
+
+def test_is_dem_set_matches_enumeration():
+    rng = random.Random(41)
+    for g in _corpus(25, 9, 41):
+        for size in (1, 2, rng.randint(1, g.n)):
+            s = rng.sample(range(g.n), min(size, g.n))
+            assert is_dem_set(g, s) == oracles.is_dem_by_enumeration(g, s)
 
 
 @given(st.integers(0, 10**6))

@@ -11,14 +11,19 @@ from megset import (
     forced_vertices,
     gen_complete,
     gen_cycle,
+    gen_grid,
     gen_hypercube,
+    gen_multipartite,
     gen_path,
     gen_star,
+    gen_tightness_family,
     is_meg_set,
     minimum_meg,
     random_connected,
     random_tree,
 )
+
+from megset.solver import _implied_seed, _witness_masks
 
 import oracles
 
@@ -109,6 +114,27 @@ def test_forced_subset_of_every_minimum():
         forced = forced_vertices(g)
         for s in oracles.all_minimum_megs_bruteforce(g):
             assert forced <= s
+
+
+def test_forced_within_implied_seed():
+    # simplicial vertices and twins lie in every monitoring pair of one of
+    # their own edges, so the mask table's seed needs no structural input
+    rng = random.Random(23)
+    corpus = []
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        m = rng.randint(n - 1, n * (n - 1) // 2)
+        corpus.append(random_connected(n, m, rng.randrange(10**9)))
+    corpus += [gen_grid(a, b) for a in range(2, 5) for b in range(a, 6)]
+    corpus += [gen_hypercube(d) for d in range(2, 6)]
+    corpus += [gen_multipartite(p) for p in ([1, 3], [2, 2], [2, 3, 1], [1, 1, 4], [3, 3, 3])]
+    corpus += [gen_tightness_family(k, r) for k in (2, 3, 4) for r in (0, 1, 2)]
+    corpus += [gen_complete(n) for n in range(2, 8)]
+    corpus += [gen_star(p) for p in range(1, 7)]
+    corpus += [gen_cycle(n) for n in range(3, 12)]
+    for g in corpus:
+        seed = _implied_seed(_witness_masks(g))
+        assert all(seed >> v & 1 for v in forced_vertices(g))
 
 
 def test_solver_deterministic():
