@@ -298,14 +298,10 @@ def recognize_class(g: Graph) -> ClassResult:
         b = g.n // a
         if b >= 2 and g.edges == gen_grid(a, b).edges:
             return meg_grid(a, b)
-    parts = _multipartite_parts(g)
-    if parts is not None:
-        sizes = [len(p) for p in parts]
-        if len(sizes) == 2 and min(sizes) == 1 and max(sizes) >= 2:
-            side = max(parts, key=len)
-            return ClassResult(len(side), frozenset(side), MULTIPARTITE)
+    # stars K1,p are trees, so every multipartite graph here needs all of V
+    if _multipartite_parts(g) is not None:
         return ClassResult(g.n, frozenset(range(g.n)), MULTIPARTITE)
-    if is_connected(g) and g.m == g.n:
+    if g.n >= 3 and is_connected(g) and g.m == g.n:
         return meg_unicyclic(g)
     raise UnrecognizedClassError("graph matches no class with a closed-form MEG-set")
 

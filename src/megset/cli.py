@@ -129,7 +129,7 @@ def _input_summary(g: Graph) -> dict:
     return {
         "n": g.n,
         "m": g.m,
-        "fes": g.m - g.n + 1,
+        "fes": structure.feedback_edge_number(g),
         "leaf_count": len(structure.leaf_set(g)),
     }
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import SizeCapExceededError
 from .graph import Graph, Edge, require_connected
-from .monitoring import _monitoring_pairs, _sorted_set
+from .monitoring import _member_rows, _monitoring_pairs, _sorted_set
 
 STRONG_EG_DEFAULT_CAP = 10**6
 
@@ -22,15 +22,12 @@ def is_geodetic_set(g: Graph, s) -> bool:
     require_connected(g)
     members = _sorted_set(g, s)
     D, _ = g.geodesy
+    rows = _member_rows(members)
     in_s = set(members)
     for v in range(g.n):
         if v in in_s:
             continue
-        if not any(
-            D[x][v] + D[v][y] == D[x][y]
-            for i, x in enumerate(members)
-            for y in members[i + 1:]
-        ):
+        if not any(D[x][v] + D[v][y] == D[x][y] for x, ys in rows for y in ys):
             return False
     return True
 
@@ -38,13 +35,13 @@ def is_geodetic_set(g: Graph, s) -> bool:
 def is_edge_geodetic_set(g: Graph, s) -> bool:
     """Every edge lies on some geodesic between two vertices of s."""
     require_connected(g)
-    members = _sorted_set(g, s)
+    rows = _member_rows(_sorted_set(g, s))
     D, _ = g.geodesy
     for (u, v) in g.edges:
         if not any(
             D[x][u] + 1 + D[v][y] == D[x][y] or D[x][v] + 1 + D[u][y] == D[x][y]
-            for i, x in enumerate(members)
-            for y in members[i + 1:]
+            for x, ys in rows
+            for y in ys
         ):
             return False
     return True
@@ -58,12 +55,11 @@ def is_strong_edge_geodetic_set(g: Graph, s, *, cap: int = STRONG_EG_DEFAULT_CAP
     where it exceeds the cap raise instead of running unbounded.
     """
     require_connected(g)
-    members = _sorted_set(g, s)
     D, C = g.geodesy
     product = 1
     pairs = []
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
+    for x, ys in _member_rows(_sorted_set(g, s)):
+        for y in ys:
             pairs.append((x, y))
             product *= C[x][y]
             if product > cap:

@@ -1,22 +1,24 @@
 """The monitoring predicate and its set-level operations.
 
 A pair (x, y) monitors an edge e when e lies on every geodesic between
-x and y.  Production test: deleting e strictly increases d(x, y); the
-two phrasings are equivalent because e is on all geodesics exactly when
-its removal destroys all of them.
+x and y, or equivalently when deleting e strictly increases d(x, y):
+e is on all geodesics exactly when its removal destroys all of them.
 
-Set-level operations use an equivalent O(1)-per-query criterion based
-on geodesic counts: e = (u, v) is on all x-y geodesics iff the number
-of geodesics through e, which is sigma(x,u) * sigma(v,y) in the feasible
-orientation, equals sigma(x,y).  One counting BFS per vertex replaces
-one BFS per (pair, edge) query.  The test suite pins all three routes
-(path enumeration, distance increase, count product) to each other.
+Every set-level check, and the simulator's choice of detecting pairs,
+use a count-product criterion that costs O(1) per query: e = (u, v) is
+on all x-y geodesics iff the number of geodesics through e, which is
+sigma(x,u) * sigma(v,y) in the feasible orientation, equals sigma(x,y).
+One counting BFS per vertex replaces one BFS per (pair, edge) query.
+The distance-increase test backs pair_monitors_edge and the new
+distances that the simulator reports.  The test suite pins all three
+routes (path enumeration, distance increase, count product) to each
+other.
 
-Every set-level check reads the same scan, _monitoring_pairs, which
-yields the monitoring pairs of one edge among given candidate rows:
-is_meg_set and monitored_edges take its first pair, witness_report its
-first few, and the solver's mask table and the DEM check in hierarchy
-scan wider rows.
+These checks read one scan, _monitoring_pairs, which yields the
+monitoring pairs of one edge among given candidate rows: is_meg_set and
+monitored_edges take its first pair, witness_report its first few,
+simulate_failure all pairs of the probe set, and the solver's mask
+table and the DEM check in hierarchy scan wider rows.
 """
 
 from __future__ import annotations
@@ -150,20 +152,19 @@ def witness_report(g: Graph, s, max_witnesses_per_edge: int = 3) -> WitnessRepor
 def simulate_failure(g: Graph, s, e: tuple[int, int]) -> DetectionReport:
     """Remove edge e and report every probe pair whose distance grew.
 
-    A bridge failure shows up as INFINITE new distance, which counts as
-    an increase.  An empty report means no pair of s monitors e.
+    The pairs are those of s that monitor e, in lexicographic order; a
+    bridge failure shows up as INFINITE new distance.  An empty report
+    means no pair of s monitors e.
     """
     require_connected(g)
-    eu, ev = normalize_edge(g, e)
-    members = _sorted_set(g, s)
-    report = DetectionReport(failed_edge=(eu, ev))
+    failed = normalize_edge(g, e)
+    rows = _member_rows(_sorted_set(g, s))
+    report = DetectionReport(failed_edge=failed)
     D, _ = g.geodesy
-    # one BFS per probe on G-e covers all pairs of s
-    new_dist = {x: bfs_distances(g, x, (eu, ev)) for x in members}
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            old = D[x][y]
-            new = new_dist[x][y]
-            if new > old:
-                report.observations.append(ProbeObservation(x, y, old, new))
+    # one BFS on G-e per probe that heads a detecting pair
+    new_dist = {}
+    for x, y in _monitoring_pairs(g, failed, rows):
+        if x not in new_dist:
+            new_dist[x] = bfs_distances(g, x, failed)
+        report.observations.append(ProbeObservation(x, y, D[x][y], new_dist[x][y]))
     return report

@@ -138,14 +138,7 @@ def _layered_search(g: Graph, *, cap: int, collect_all: bool, limit: int | None)
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    v = 0
-    while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def minimum_meg(g: Graph, *, cap: int = DEFAULT_VERTEX_CAP) -> SolveResult:

@@ -47,9 +47,10 @@ class FesConstruction:
 
 
 def feedback_edge_number(g: Graph) -> int:
-    """Cyclomatic number m - n + 1 of a connected graph."""
+    """Cyclomatic number m - n + c of a connected graph, where the number
+    of components c is 1, or 0 for the null graph."""
     require_connected(g)
-    return g.m - g.n + 1
+    return g.m - g.n + min(g.n, 1)
 
 
 def leaf_set(g: Graph) -> frozenset[int]:
@@ -187,10 +188,9 @@ def fes_meg_construction(g: Graph) -> FesConstruction:
     The result is verified; a failure would falsify the underlying bound
     and raises instead of returning.
     """
-    require_connected(g)
+    k = feedback_edge_number(g)
     if g.m == 0:
         raise ValueError("construction needs at least one edge")
-    k = g.m - g.n + 1
     leaves = leaf_set(g)
     chosen: set[int] = set(leaves)
     if k >= 1:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, product
 
-from megset import Graph, is_meg_set
+from megset import INFINITE, Graph, is_meg_set
+from megset.graph import delete_edge
 
 
 def bfs_levels(g: Graph, src: int) -> dict[int, int]:
@@ -84,6 +85,19 @@ def is_dem_by_enumeration(g: Graph, s) -> bool:
         ):
             return False
     return True
+
+
+def detections_by_levels(g: Graph, s, e: tuple[int, int]) -> list[tuple]:
+    """(x, y, old, new) for each pair of s, lexicographic, whose BFS
+    distance grows when e is deleted; unreachable counts as INFINITE."""
+    h = delete_edge(g, e)
+    out = []
+    for x, y in combinations(sorted(set(s)), 2):
+        old = bfs_levels(g, x).get(y, INFINITE)
+        new = bfs_levels(h, x).get(y, INFINITE)
+        if new > old:
+            out.append((x, y, old, new))
+    return out
 
 
 def all_minimum_megs_bruteforce(g: Graph) -> list[frozenset[int]]:

@@ -116,10 +116,11 @@ def test_construct_fes_theta(tmp_path, capsys):
 
 
 def test_construct_unrecognized_exit_five(tmp_path, capsys):
-    lopsided = parse_graph_text("6 7\n0 2\n1 2\n0 3\n1 3\n0 4\n4 5\n1 5\n")
-    path = write_graph(tmp_path, lopsided)
-    code, _ = run_cli(capsys, "construct", path, "--method", "class")
-    assert code == 5
+    # a lopsided theta graph, and the null graph
+    for i, text in enumerate(("6 7\n0 2\n1 2\n0 3\n1 3\n0 4\n4 5\n1 5\n", "0 0\n")):
+        path = write_graph(tmp_path, parse_graph_text(text), f"g{i}.txt")
+        code, _ = run_cli(capsys, "construct", path, "--method", "class")
+        assert code == 5
 
 
 def test_simulate_detected(tmp_path, capsys):
@@ -193,6 +194,14 @@ def test_invariants_c6_pendant(tmp_path, capsys):
     r = doc["result"]
     assert doc["input"]["fes"] == 1
     assert r["upper_bound"] == 5 and r["meg_number"] == 3
+
+
+def test_invariants_null_graph(tmp_path, capsys):
+    path = write_graph(tmp_path, parse_graph_text("0 0\n"))
+    code, doc = run_json(capsys, "invariants", path)
+    assert code == 0
+    assert doc["input"]["fes"] == 0
+    assert doc["result"] == {"forced_count": 0, "upper_bound": 0, "meg_number": None}
 
 
 def test_invariants_theta(tmp_path, capsys):

@@ -19,9 +19,12 @@ from megset import (
     monitored_edges,
     pair_monitors_edge,
     random_connected,
+    random_tree,
+    random_unicyclic,
     simulate_failure,
     witness_report,
 )
+from megset import monitoring
 from megset.monitoring import _monitors
 from megset.solver import _witness_masks
 
@@ -182,6 +185,42 @@ def test_simulate_nonempty_iff_monitored():
         covered = monitored_edges(g, members)
         for e in g.edges:
             assert simulate_failure(g, members, e).detected == (e in covered)
+
+
+def test_simulate_failure_matches_distance_oracle():
+    # a tree and a unicyclic graph put bridges (new distance INFINITE) in
+    rng = random.Random(47)
+    corpus = _corpus(25, 9, 47) + [random_tree(9, 47), random_unicyclic(9, 4, 47)]
+    for g in corpus:
+        probe_sets = (
+            range(g.n),
+            rng.choices(range(g.n), k=g.n),
+            [rng.randrange(g.n)] * 2,
+            [],
+        )
+        for s in probe_sets:
+            for u, v in g.edges:
+                for e in ((u, v), (v, u)):
+                    rep = simulate_failure(g, s, e)
+                    assert rep.failed_edge == (u, v)
+                    got = [(o.x, o.y, o.old_distance, o.new_distance) for o in rep.observations]
+                    assert got == oracles.detections_by_levels(g, s, e)
+
+
+def test_simulate_runs_one_bfs_per_detecting_probe(monkeypatch):
+    sources = []
+    bfs = monitoring.bfs_distances
+
+    def counting_bfs(g, source, skip=None):
+        sources.append(source)
+        return bfs(g, source, skip)
+
+    monkeypatch.setattr(monitoring, "bfs_distances", counting_bfs)
+    assert not simulate_failure(gen_cycle(4), {0, 1, 2}, (0, 3)).detected
+    assert sources == []
+    # on P3 the pairs (0, 1) and (0, 2) detect (0, 1); both are headed by 0
+    assert len(simulate_failure(gen_path(3), {0, 1, 2}, (0, 1)).observations) == 2
+    assert sources == [0]
 
 
 def test_vacuous_meg_on_edgeless_graph():

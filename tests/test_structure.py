@@ -36,6 +36,7 @@ def test_feedback_edge_number_examples():
     assert feedback_edge_number(random_tree(9, 3)) == 0
     assert feedback_edge_number(gen_cycle(9)) == 1
     assert feedback_edge_number(gen_complete(4)) == 3
+    assert feedback_edge_number(build_graph(0, [])) == 0
 
 
 def test_feedback_edge_number_matches_bruteforce():
