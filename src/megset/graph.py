@@ -27,9 +27,9 @@ class Graph:
     """Simple undirected graph: edge list plus sorted adjacency, both immutable.
 
     Connectivity is not an invariant; operations that need it check it.
-    Derived tables (the edge set, ``geodesy``) are cached on the instance,
-    so each is computed once per graph and freed with it; equality and
-    hashing see only ``n``, ``edges`` and ``adj``.
+    Derived tables (the edge set, connectivity, ``geodesy``) are cached on
+    the instance, so each is computed once per graph and freed with it;
+    equality and hashing see only ``n``, ``edges`` and ``adj``.
     """
 
     n: int
@@ -51,6 +51,10 @@ class Graph:
     @cached_property
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def _connected(self) -> bool:
+        return self.n <= 1 or INFINITE not in bfs_distances(self, 0)
 
     @cached_property
     def geodesy(self) -> tuple[DistanceMatrix, CountMatrix]:
@@ -184,7 +188,7 @@ def distance_without_edge(g: Graph, e: tuple[int, int], u: int, v: int) -> float
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single component (vacuously true for n <= 1)."""
-    return g.n <= 1 or INFINITE not in bfs_distances(g, 0)
+    return g._connected
 
 
 def require_connected(g: Graph) -> None:

@@ -2,18 +2,24 @@
 
 The search seeds with the vertices that provably belong to every MEG-set
 (any vertex appearing in every monitoring pair of some edge, which
-includes all simplicial vertices and twins) and then enumerates
-supersets of the seed by increasing cardinality, in lexicographic order,
-returning the first candidate that monitors every edge.  Superset
-closure of the predicate makes the first hit a minimum, and the
-enumeration order makes it the lexicographically smallest minimum, so
-results are deterministic and independent of any pruning.
+includes all simplicial vertices and twins).  Every edge the seed leaves
+uncovered is a coverage requirement: the free vertices that would cover
+it, alone or in pairs.  A branch-and-bound feasibility check asks
+whether at most r allowed free vertices meet every requirement; it
+branches on the requirement with the fewest options, one-vertex options
+first, and prunes with a packing bound.  The optimum size k is the
+smallest r whose check succeeds.  A lexicographic pass then takes the
+free vertices in increasing order and keeps each one only if a check
+over the vertices after it can still complete a cover of size k, so the
+result is the lexicographically smallest minimum and
+``all_minimum_megs`` lists the minimums in lexicographic order:
+deterministic and independent of the pruning.  Both searches keep
+explicit stacks, so no input runs into the recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import SizeCapExceededError
 from .graph import (
@@ -29,9 +35,16 @@ from .monitoring import _monitoring_pairs, is_meg_set
 
 DEFAULT_VERTEX_CAP = 24
 
+# per uncovered edge: the vertices that cover it alone, and the pairs that do
+_Requirements = list[tuple[int, list[int]]]
+
 
 @dataclass(frozen=True)
 class SolveResult:
+    """``nodes_explored`` counts the search states examined: the nodes of
+    every feasibility check and the lexicographic-pass candidates.  It is
+    1 when the seed alone monitors every edge."""
+
     meg_number: int
     optimal_set: frozenset[int]
     forced: frozenset[int]
@@ -85,7 +98,8 @@ def _coverage_requirements(masks: tuple[tuple[int, ...], ...], seed: int) -> lis
 
     Each requirement is a monitoring pair minus the seed bits; an empty
     requirement means the seed already covers the edge, which drops it.
-    Edges are ordered fewest-options-first so failing candidates die fast.
+    Edges are ordered fewest-options-first, the order in which the
+    search's packing bound takes them.
     """
     reqs = []
     for pairs in masks:
@@ -97,7 +111,159 @@ def _coverage_requirements(masks: tuple[tuple[int, ...], ...], seed: int) -> lis
     return reqs
 
 
-def _layered_search(g: Graph, *, cap: int, collect_all: bool, limit: int | None):
+def _trim(reqs: _Requirements, add: int, allowed: int) -> _Requirements | None:
+    """The requirements still uncovered once the vertices of ``add`` join.
+
+    Each requirement is ``(ones, pairs)``: the bitmask of vertices that
+    cover it alone, and the two-vertex options.  Every option is cut to
+    the vertices it still needs and kept only while those are all in
+    ``allowed``; a pair containing a one-vertex option of the same
+    requirement is dropped.  Returns None when some requirement is left
+    with no option.
+    """
+    out = []
+    for ones, pairs in reqs:
+        if ones & add:
+            continue
+        ones &= allowed
+        kept = []
+        for p in pairs:
+            need = p & ~add
+            if not need:
+                break
+            if need & allowed == need:
+                if need & (need - 1):
+                    kept.append(need)
+                else:
+                    ones |= need
+        else:
+            if ones:
+                kept = [p for p in kept if not p & ones]
+            elif not kept:
+                return None
+            out.append((ones, kept))
+    return out
+
+
+def _packing_bound(reqs: _Requirements) -> int:
+    """Lower bound on the vertices still needed.
+
+    Requirements whose option unions are pairwise disjoint each need
+    their own vertices: one if a single vertex covers it, else two.
+    """
+    used = need = 0
+    for ones, pairs in reqs:
+        union = ones
+        for p in pairs:
+            union |= p
+        if not union & used:
+            used |= union
+            need += 1 if ones else 2
+    return need
+
+
+def _option_count(req) -> int:
+    return req[0].bit_count() + len(req[1])
+
+
+def _branches(reqs: _Requirements, allowed: int, budget: int):
+    """Child states of a feasibility node, one per option of the
+    requirement with the fewest options, one-vertex options first.
+
+    A vertex whose branch failed stays out of the later branches: every
+    cover containing it was already searched.
+    """
+    ones, pairs = min(reqs, key=_option_count)
+    while ones:
+        b = ones & -ones
+        ones ^= b
+        allowed &= ~b
+        yield _trim(reqs, b, allowed), allowed, budget - 1
+    if budget > 1:
+        for p in pairs:
+            rest = allowed & ~p
+            yield _trim(reqs, p, rest), rest, budget - 2
+
+
+class _CoverSearch:
+    """Branch-and-bound over the coverage requirements of the free vertices.
+
+    ``nodes`` counts the states examined: every node of a feasibility
+    check (its root included) and every lexicographic-pass candidate.
+    """
+
+    def __init__(self, reqs: list[tuple[int, ...]], free: int):
+        self.free = free
+        self.root = _trim([(0, options) for options in reqs], 0, free)
+        self.nodes = 0
+
+    def feasible(self, reqs: _Requirements, allowed: int, budget: int) -> bool:
+        """Can at most ``budget`` vertices of ``allowed`` cover ``reqs``?"""
+        stack = [iter([(reqs, allowed, budget)])]
+        while stack:
+            state = next(stack[-1], None)
+            if state is None:
+                stack.pop()
+                continue
+            self.nodes += 1
+            reqs, allowed, budget = state
+            if reqs is None:
+                continue
+            if not reqs:
+                return True
+            if budget == 1:
+                common = allowed
+                for ones, _ in reqs:
+                    common &= ones
+                if common:
+                    return True
+            elif budget and _packing_bound(reqs) <= budget:
+                stack.append(_branches(reqs, allowed, budget))
+        return False
+
+    def minimum_size(self) -> int:
+        """The smallest budget whose feasibility check succeeds from the root."""
+        k = _packing_bound(self.root)
+        while not self.feasible(self.root, self.free, k):
+            if k >= self.free.bit_count():
+                raise RuntimeError("V(G) is always an MEG-set of a connected graph")
+            k += 1
+        return k
+
+    def covers(self, k: int, limit: int | None) -> list[int]:
+        """Minimum covers in lexicographic order, up to ``limit``.
+
+        ``k`` must be the optimum size, so every cover found has exactly
+        ``k`` vertices.  A candidate vertex joins only if a feasibility
+        check over the vertices after it can still complete the cover.
+        """
+        hits: list[int] = []
+        stack = [iter([(self.root, 0, self.free, k)])]
+        while stack:
+            state = next(stack[-1], None)
+            if state is None:
+                stack.pop()
+                continue
+            reqs, chosen, allowed, budget = state
+            if not reqs:
+                hits.append(chosen)
+                if len(hits) == limit:
+                    break
+                continue
+            stack.append(self._extensions(reqs, chosen, allowed, budget))
+        return hits
+
+    def _extensions(self, reqs: _Requirements, chosen: int, allowed: int, budget: int):
+        while allowed:
+            b = allowed & -allowed
+            allowed ^= b
+            self.nodes += 1
+            child = _trim(reqs, b, allowed)
+            if child is not None and self.feasible(child, allowed, budget - 1):
+                yield child, chosen | b, allowed, budget - 1
+
+
+def _layered_search(g: Graph, *, cap: int, limit: int | None):
     require_connected(g)
     if g.m == 0:
         raise ValueError("minimum MEG-set search requires at least one edge")
@@ -106,35 +272,9 @@ def _layered_search(g: Graph, *, cap: int, collect_all: bool, limit: int | None)
     structural = forced_vertices(g)
     masks = _witness_masks(g)
     seed = _implied_seed(masks)
-    seed_size = bin(seed).count("1")
-    free = [v for v in range(g.n) if not (seed >> v) & 1]
-    reqs = _coverage_requirements(masks, seed)
-    bit = [1 << v for v in range(g.n)]
-    explored = 0
-    for size in range(seed_size, g.n + 1):
-        hits: list[int] = []
-        for combo in combinations(free, size - seed_size):
-            explored += 1
-            m = 0
-            for c in combo:
-                m |= bit[c]
-            ok = True
-            for options in reqs:
-                for r in options:
-                    if r & m == r:
-                        break
-                else:
-                    ok = False
-                    break
-            if ok:
-                hits.append(seed | m)
-                if not collect_all:
-                    break
-                if limit is not None and len(hits) >= limit:
-                    break
-        if hits:
-            return hits, structural, explored
-    raise AssertionError("V(G) is always an MEG-set of a connected graph")
+    search = _CoverSearch(_coverage_requirements(masks, seed), ((1 << g.n) - 1) & ~seed)
+    hits = search.covers(search.minimum_size(), limit)
+    return [seed | h for h in hits], structural, search.nodes
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -143,7 +283,7 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 def minimum_meg(g: Graph, *, cap: int = DEFAULT_VERTEX_CAP) -> SolveResult:
     """Minimum-cardinality MEG-set; ties broken lexicographically smallest."""
-    hits, structural, explored = _layered_search(g, cap=cap, collect_all=False, limit=None)
+    hits, structural, explored = _layered_search(g, cap=cap, limit=1)
     best = _mask_to_set(hits[0])
     return SolveResult(
         meg_number=len(best),
@@ -157,7 +297,7 @@ def all_minimum_megs(g: Graph, limit: int | None = None, *, cap: int = DEFAULT_V
     """All minimum MEG-sets (up to limit), in lexicographic order."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    hits, _, _ = _layered_search(g, cap=cap, collect_all=True, limit=limit)
+    hits, _, _ = _layered_search(g, cap=cap, limit=limit)
     return [_mask_to_set(h) for h in hits]
 
 

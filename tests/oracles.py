@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 from megset import INFINITE, Graph, is_meg_set
 from megset.graph import delete_edge
+from megset.solver import _coverage_requirements, _implied_seed, _witness_masks
 
 
 def bfs_levels(g: Graph, src: int) -> dict[int, int]:
@@ -116,6 +117,32 @@ def all_minimum_megs_bruteforce(g: Graph) -> list[frozenset[int]]:
         if hits:
             return hits
     return []
+
+
+def combinations_sweep(g: Graph) -> list[frozenset[int]]:
+    """Every minimum MEG-set, in lexicographic order, by the solver's former search.
+
+    Supersets of the implied seed are tried by increasing size, in
+    ``combinations`` order, against the solver's coverage requirements;
+    the hits of the first size that has any are the minimums.  It reads
+    the solver's mask table, so it checks the search alone; the table is
+    pinned to enumeration by the predicate tests.
+    """
+    masks = _witness_masks(g)
+    seed = _implied_seed(masks)
+    reqs = _coverage_requirements(masks, seed)
+    seeded = frozenset(v for v in range(g.n) if (seed >> v) & 1)
+    free = [v for v in range(g.n) if v not in seeded]
+
+    def covers(combo) -> bool:
+        m = sum(1 << v for v in combo)
+        return all(any(r & m == r for r in options) for options in reqs)
+
+    for size in range(len(free) + 1):
+        hits = [seeded | frozenset(c) for c in combinations(free, size) if covers(c)]
+        if hits:
+            return hits
+    raise AssertionError("V(G) is always an MEG-set of a connected graph")
 
 
 def minimum_meg_bruteforce(g: Graph) -> int:

@@ -29,7 +29,8 @@ from megset import (
     simulate_failure,
     twin_vertices,
 )
-from megset.graph import delete_edge
+from megset import graph as graph_module
+from megset.graph import delete_edge, require_connected
 
 import oracles
 
@@ -143,6 +144,28 @@ def test_is_connected_examples():
     assert is_connected(gen_path(5))
     assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
     assert is_connected(build_graph(1, []))
+
+
+def test_connectivity_is_checked_once_per_graph(monkeypatch):
+    sources = []
+    bfs = graph_module.bfs_distances
+
+    def counting_bfs(g, source, skip=None):
+        sources.append(source)
+        return bfs(g, source, skip)
+
+    monkeypatch.setattr(graph_module, "bfs_distances", counting_bfs)
+    g = random_connected(30, 40, 3)
+    require_connected(g)
+    assert sources == [0]
+    require_connected(g)
+    assert is_connected(g)
+    assert sources == [0]
+    split = build_graph(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraphError):
+            require_connected(split)
+    assert sources == [0, 0]
 
 
 def test_simplicial_examples():

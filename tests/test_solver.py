@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,7 +24,7 @@ from megset import (
     random_tree,
 )
 
-from megset.solver import _implied_seed, _witness_masks
+from megset.solver import _CoverSearch, _coverage_requirements, _implied_seed, _trim, _witness_masks
 
 import oracles
 
@@ -214,3 +215,64 @@ def test_tree_solver_equals_leaves():
         t = random_tree(n, rng.randrange(10**9))
         leaves = frozenset(v for v in range(n) if t.degree(v) == 1)
         assert all_minimum_megs(t) == [leaves]
+
+
+def _search_corpus():
+    corpus = [random_connected(n, round(1.3 * n), s) for n in range(12, 23) for s in (1, 2, 3)]
+    corpus += [gen_grid(a, b) for a, b in ((2, 3), (3, 3), (3, 4), (4, 4))]
+    corpus += [random_tree(n, n) for n in (6, 11, 17)]
+    corpus += [gen_tightness_family(k, r) for k, r in ((2, 0), (3, 1), (4, 2))]
+    return corpus
+
+
+def test_search_matches_combinations_sweep():
+    for g in _search_corpus():
+        hits = oracles.combinations_sweep(g)
+        assert minimum_meg(g).optimal_set == hits[0]
+        for limit in (1, 3, None):
+            assert all_minimum_megs(g, limit) == hits[:limit]
+
+
+def test_feasibility_check_matches_subset_sweep():
+    # the check must never answer no while a cover exists: the search's
+    # optimum size and its lexicographic pass both rest on it
+    rng = random.Random(59)
+    for _ in range(40):
+        n = rng.randint(8, 13)
+        g = random_connected(n, rng.randint(n, 2 * n), rng.randrange(10**9))
+        masks = _witness_masks(g)
+        seed = _implied_seed(masks)
+        reqs = _coverage_requirements(masks, seed)
+        free = [v for v in range(n) if not seed >> v & 1]
+        search = _CoverSearch(reqs, sum(1 << v for v in free))
+        for _ in range(6):
+            allowed = [v for v in free if rng.random() < 0.8]
+            allowed_mask = sum(1 << v for v in allowed)
+            for budget in range(5):
+                want = any(
+                    all(any(o & m == o for o in options) for options in reqs)
+                    for size in range(min(budget, len(allowed)) + 1)
+                    for m in (sum(1 << v for v in c) for c in combinations(allowed, size))
+                )
+                got = search.feasible(_trim(search.root, 0, allowed_mask), allowed_mask, budget)
+                assert got == want
+
+
+def test_feasibility_check_keeps_vertices_of_a_failed_pair():
+    # {0,1} fails on the pair {2,3}, yet {2,3} plus vertex 0 covers all
+    reqs = [(0b0011, 0b1100), (0b0001, 0b0010), (0b1100, 0b1000100)]
+    search = _CoverSearch(reqs, 0b1001111)
+    assert search.feasible(search.root, search.free, 3)
+    assert not search.feasible(search.root, search.free, 2)
+
+
+def test_seeded_solves_explore_one_node():
+    graphs = [
+        gen_grid(6, 6),
+        gen_hypercube(5),
+        gen_tightness_family(6, 1),
+        gen_multipartite([3, 3, 3]),
+        gen_multipartite([1, 12]),
+    ]
+    for g in graphs:
+        assert minimum_meg(g, cap=g.n).nodes_explored == 1
