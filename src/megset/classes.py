@@ -299,30 +299,22 @@ def recognize_class(g: Graph) -> ClassResult:
         if b >= 2 and g.edges == gen_grid(a, b).edges:
             return meg_grid(a, b)
     # stars K1,p are trees, so every multipartite graph here needs all of V
-    if _multipartite_parts(g) is not None:
+    if _is_complete_multipartite(g):
         return ClassResult(g.n, frozenset(range(g.n)), MULTIPARTITE)
     if g.n >= 3 and is_connected(g) and g.m == g.n:
         return meg_unicyclic(g)
     raise UnrecognizedClassError("graph matches no class with a closed-form MEG-set")
 
 
-def _multipartite_parts(g: Graph) -> list[list[int]] | None:
-    """Partite sets if g is complete multipartite with >= 2 parts, else None."""
-    if g.n < 2:
-        return None
-    non_adj = [set(range(g.n)) - set(g.adj[v]) - {v} for v in range(g.n)]
-    seen = [False] * g.n
-    parts = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        part = sorted(non_adj[v] | {v})
-        # all members must agree on the part and be mutually non-adjacent
-        for w in part:
-            if seen[w] or sorted(non_adj[w] | {w}) != part:
-                return None
-            seen[w] = True
-        parts.append(part)
-    if len(parts) < 2:
-        return None
-    return parts
+def _is_complete_multipartite(g: Graph) -> bool:
+    """True iff g is complete multipartite with at least two parts.
+
+    Vertices with equal open neighborhoods form a class, and no member of
+    a class is adjacent to another.  So each class is a part joined to
+    every other vertex exactly when its size plus its neighborhood's size
+    is n.
+    """
+    sizes: dict[tuple[int, ...], int] = {}
+    for nb in g.adj:
+        sizes[nb] = sizes.get(nb, 0) + 1
+    return len(sizes) >= 2 and all(len(nb) + size == g.n for nb, size in sizes.items())

@@ -36,6 +36,13 @@ EXIT_DISCONNECTED = 3
 EXIT_CAP = 4
 EXIT_UNRECOGNIZED = 5
 
+# every other ValueError, GraphFormatError included, is an input error
+EXIT_CODES = {
+    DisconnectedGraphError: EXIT_DISCONNECTED,
+    SizeCapExceededError: EXIT_CAP,
+    UnrecognizedClassError: EXIT_UNRECOGNIZED,
+}
+
 
 def parse_graph_text(text: str) -> Graph:
     """Parse the "n m" / edge-list format, '#' comments ignored."""
@@ -475,18 +482,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DisconnectedGraphError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except SizeCapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except UnrecognizedClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRECOGNIZED
-    except (GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_CODES.get(type(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 from .errors import DisconnectedGraphError, GraphFormatError
@@ -203,20 +204,9 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
     trivially cliques.
     """
     edge_set = g._edge_set
-    out = []
-    for v in range(g.n):
-        nb = g.adj[v]
-        ok = True
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                if (nb[i], nb[j]) not in edge_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(v)
-    return frozenset(out)
+    return frozenset(
+        v for v in range(g.n) if all(pair in edge_set for pair in combinations(g.adj[v], 2))
+    )
 
 
 def twin_vertices(g: Graph) -> frozenset[int]:
@@ -225,22 +215,15 @@ def twin_vertices(g: Graph) -> frozenset[int]:
     Open twins share N(u) = N(v); closed twins share N[u] = N[v].  The
     result contains every member of every twin pair, not the pairs.
     """
-    open_groups: dict[frozenset[int], list[int]] = {}
-    closed_groups: dict[frozenset[int], list[int]] = {}
+    # one dict serves both kinds: N(u) = N[w] would put w in N(u), hence
+    # u in N(w), which is inside N[w] = N(u), and no vertex is its own neighbor
+    groups: dict[frozenset[int], list[int]] = {}
     for v in range(g.n):
-        if not g.adj[v]:
-            continue
-        nv = frozenset(g.adj[v])
-        open_groups.setdefault(nv, []).append(v)
-        closed_groups.setdefault(nv | {v}, []).append(v)
-    out: set[int] = set()
-    for grp in open_groups.values():
-        if len(grp) > 1:
-            out.update(grp)
-    for grp in closed_groups.values():
-        if len(grp) > 1:
-            out.update(grp)
-    return frozenset(out)
+        if g.adj[v]:
+            nv = frozenset(g.adj[v])
+            groups.setdefault(nv, []).append(v)
+            groups.setdefault(nv | {v}, []).append(v)
+    return frozenset(v for grp in groups.values() if len(grp) > 1 for v in grp)
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:

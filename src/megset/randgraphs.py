@@ -12,8 +12,12 @@ import random
 from .graph import Graph, build_graph
 
 
-def _decode_ancestor_sequence(seq: list[int], n: int) -> list[tuple[int, int]]:
-    """Decode a Prufer-style ancestor sequence into the edges of a labeled tree."""
+def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Edges of a uniform random labeled tree on n >= 1 vertices, decoded
+    from a random Prufer sequence; n <= 2 draws nothing from rng."""
+    if n <= 2:
+        return [(0, 1)] if n == 2 else []
+    seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
@@ -36,13 +40,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n vertices (Prufer decoding)."""
     if n < 1:
         raise ValueError("tree needs at least 1 vertex")
-    if n == 1:
-        return build_graph(1, [])
-    if n == 2:
-        return build_graph(2, [(0, 1)])
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return build_graph(n, _decode_ancestor_sequence(seq, n))
+    return build_graph(n, _random_tree_edges(n, random.Random(seed)))
 
 
 def random_unicyclic(n: int, k: int, seed: int) -> Graph:
@@ -63,13 +61,7 @@ def random_connected(n: int, m: int, seed: int) -> Graph:
     if not n - 1 <= m <= n * (n - 1) // 2:
         raise ValueError(f"edge count {m} outside [{n - 1}, {n * (n - 1) // 2}]")
     rng = random.Random(seed)
-    if n == 1:
-        return build_graph(1, [])
-    if n == 2:
-        tree_edges = [(0, 1)]
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        tree_edges = _decode_ancestor_sequence(seq, n)
+    tree_edges = _random_tree_edges(n, rng)
     have = {(min(u, v), max(u, v)) for u, v in tree_edges}
     candidates = [
         (u, v)

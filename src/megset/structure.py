@@ -10,11 +10,11 @@ base decomposes into core vertices (degree >= 3), proper core paths
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import SizeCapExceededError
-from .graph import Graph, build_graph, connected_components, require_connected
+from .graph import Graph, build_graph, require_connected
 from .monitoring import is_meg_set
 
 MLN_VERTEX_CAP = 12
@@ -66,36 +66,39 @@ def base_graph(g: Graph) -> CoreDecomposition:
     require_connected(g)
     deg = [g.degree(v) for v in range(g.n)]
     stack = [v for v in range(g.n) if deg[v] == 1]
+    stripped = []
+    up = [-1] * g.n  # the neighbor still present when a vertex was stripped
     while stack:
         v = stack.pop()
         deg[v] = 0
+        stripped.append(v)
         for w in g.adj[v]:
             if deg[w] > 0:
+                up[v] = w
                 deg[w] -= 1
                 if deg[w] == 1:
                     stack.append(w)
     base_vertices = frozenset(v for v in range(g.n) if deg[v] >= 2)
     base_edges = [(u, v) for (u, v) in g.edges if u in base_vertices and v in base_vertices]
-    base = build_graph(g.n, base_edges)
     hanging: list[tuple[int, frozenset[int]]] = []
     if not base_vertices:
         if g.n:
             hanging.append((0, frozenset(range(g.n))))
     else:
-        removed = [v for v in range(g.n) if v not in base_vertices]
-        if removed:
-            sub_edges = [(u, v) for (u, v) in g.edges if u not in base_vertices and v not in base_vertices]
-            remap = {v: i for i, v in enumerate(removed)}
-            forest = build_graph(len(removed), [(remap[u], remap[v]) for u, v in sub_edges])
-            for comp in connected_components(forest):
-                tree = frozenset(removed[i] for i in comp)
-                roots = {w for v in tree for w in g.adj[v] if w in base_vertices}
-                if len(roots) != 1:
-                    raise RuntimeError("a hanging tree must attach to exactly one base vertex")
-                hanging.append((roots.pop(), tree))
-        hanging.sort()
+        # a vertex's recorded neighbor goes later, so walking the strip order
+        # backwards meets it first; the top vertex of a tree hangs on the base
+        top = list(range(g.n))
+        trees: dict[int, list[int]] = {}
+        for v in reversed(stripped):
+            if up[v] < 0:
+                raise RuntimeError("every stripped vertex must hang on a neighbor that outlasts it")
+            if up[v] not in base_vertices:
+                top[v] = top[up[v]]
+            trees.setdefault(top[v], []).append(v)
+        hanging = sorted(((up[t], frozenset(tree)) for t, tree in trees.items()),
+                         key=lambda rt: (rt[0], min(rt[1])))
     return CoreDecomposition(
-        base=base,
+        base=build_graph(g.n, base_edges),
         base_vertices=base_vertices,
         hanging_trees=hanging,
         core_vertices=frozenset(),
@@ -117,45 +120,26 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
     dec = base_graph(g)
     base = dec.base
     core = frozenset(v for v in dec.base_vertices if base.degree(v) >= 3)
+    # walks run between stops; with fes = 1 the only stop is the cycle's smallest vertex
+    stops = core or frozenset({min(dec.base_vertices)})
     paths: list[tuple[int, ...]] = []
     cycles: list[tuple[int, ...]] = []
-    if not core:
-        # fes == 1: the base is exactly one cycle
-        cycles.append(_closed_walk(base, min(dec.base_vertices)))
-    else:
-        used: set[tuple[int, int]] = set()
-        for c in sorted(core):
-            for w in base.adj[c]:
-                e = (c, w) if c < w else (w, c)
-                if e in used:
-                    continue
-                walk = [c, w]
-                used.add(e)
-                while walk[-1] not in core:
-                    prev, cur = walk[-2], walk[-1]
-                    nxt = next(x for x in base.adj[cur] if x != prev)
-                    used.add((cur, nxt) if cur < nxt else (nxt, cur))
-                    walk.append(nxt)
-                if walk[-1] == c:
-                    cycles.append(tuple(walk))
-                else:
-                    paths.append(tuple(walk))
-        if len(used) != base.m:
-            raise RuntimeError("every base edge must lie on exactly one core path or cycle")
-    dec.core_vertices = core
-    dec.proper_core_paths = paths
-    dec.core_cycles = cycles
-    return dec
-
-
-def _closed_walk(base: Graph, start: int) -> tuple[int, ...]:
-    """Walk a 2-regular component from start back to itself, smaller side first."""
-    nbrs = sorted(base.adj[start])
-    walk = [start, nbrs[0]]
-    while walk[-1] != start:
-        prev, cur = walk[-2], walk[-1]
-        walk.append(next(x for x in base.adj[cur] if x != prev))
-    return tuple(walk)
+    used: set[tuple[int, int]] = set()
+    for c in sorted(stops):
+        for w in base.adj[c]:
+            if ((c, w) if c < w else (w, c)) in used:
+                continue
+            walk = [c, w]
+            while True:
+                prev, cur = walk[-2], walk[-1]
+                used.add((prev, cur) if prev < cur else (cur, prev))
+                if cur in stops:
+                    break
+                walk.append(next(x for x in base.adj[cur] if x != prev))
+            (cycles if walk[-1] == c else paths).append(tuple(walk))
+    if len(used) != base.m:
+        raise RuntimeError("every base edge must lie on exactly one core path or cycle")
+    return replace(dec, core_vertices=core, proper_core_paths=paths, core_cycles=cycles)
 
 
 def _path_medians(path: tuple[int, ...]) -> list[int]:

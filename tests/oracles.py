@@ -7,12 +7,24 @@ spanning trees and feedback edge sets from raw combinations.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import combinations, product
 
-from megset import INFINITE, Graph, is_meg_set
+from megset import INFINITE, Graph, is_meg_set, random_connected
 from megset.graph import delete_edge
 from megset.solver import _coverage_requirements, _implied_seed, _witness_masks
+
+
+def random_corpus(count: int, max_n: int, base_seed: int) -> list[Graph]:
+    """Small connected random graphs, 2 to max_n vertices, any density."""
+    rng = random.Random(base_seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        m = rng.randint(n - 1, n * (n - 1) // 2)
+        out.append(random_connected(n, m, rng.randrange(10**9)))
+    return out
 
 
 def bfs_levels(g: Graph, src: int) -> dict[int, int]:
@@ -246,3 +258,77 @@ def count_simple_paths_of_length(g: Graph, x: int, y: int, length: int) -> int:
 
     extend(x, {x}, 0)
     return total
+
+
+def simplicial_by_pairs(g: Graph) -> set[int]:
+    """Vertices any two of whose neighbors are adjacent."""
+    return {
+        v for v in range(g.n)
+        if all(b in g.adj[a] for a, b in combinations(g.adj[v], 2))
+    }
+
+
+def twins_by_pairs(g: Graph) -> set[int]:
+    """Members of the pairs u != v with N(u) = N(v) nonempty or N[u] = N[v]."""
+    out: set[int] = set()
+    for u, v in combinations(range(g.n), 2):
+        nu, nv = set(g.adj[u]), set(g.adj[v])
+        if (nu and nu == nv) or nu | {u} == nv | {v}:
+            out.update((u, v))
+    return out
+
+
+def is_complete_multipartite_by_pairs(g: Graph) -> bool:
+    """The graph has an edge, and non-adjacency of distinct vertices is
+    transitive (so its classes are the parts, pairwise fully joined)."""
+    def apart(a: int, b: int) -> bool:
+        return a != b and b not in g.adj[a]
+
+    return g.m > 0 and all(
+        a == c or apart(a, c) or not (apart(a, b) and apart(b, c))
+        for a, b, c in product(range(g.n), repeat=3)
+    )
+
+
+def base_by_stripping(g: Graph) -> tuple[frozenset[int], list[tuple[int, frozenset[int]]]]:
+    """Base vertices and hanging trees of a connected graph, by deleting one
+    degree-1 vertex at a time.
+
+    The hanging trees are the components of G - base, each paired with its
+    single base neighbor and listed by (root, smallest vertex).  A tree
+    strips away entirely; it is one hanging tree rooted at vertex 0.
+    """
+    alive = set(range(g.n))
+
+    def live_degree(v: int) -> int:
+        return sum(w in alive for w in g.adj[v])
+
+    while (leaf := next((v for v in alive if live_degree(v) == 1), None)) is not None:
+        alive.remove(leaf)
+    base = frozenset(v for v in alive if live_degree(v) >= 2)
+    if not base:
+        return base, [(0, frozenset(range(g.n)))] if g.n else []
+    trees = []
+    for comp in _components(g, set(range(g.n)) - base):
+        roots = {w for v in comp for w in g.adj[v] if w in base}
+        if len(roots) != 1:
+            raise AssertionError(f"hanging tree {sorted(comp)} touches base at {sorted(roots)}")
+        trees.append((roots.pop(), frozenset(comp)))
+    return base, sorted(trees, key=lambda rt: (rt[0], min(rt[1])))
+
+
+def _components(g: Graph, vertices: set[int]) -> list[set[int]]:
+    """Components of the subgraph induced by vertices."""
+    left = set(vertices)
+    comps = []
+    while left:
+        comp = {left.pop()}
+        stack = list(comp)
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if w in left:
+                    left.remove(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps

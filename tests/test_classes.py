@@ -26,6 +26,7 @@ from megset import (
     recognize_class,
     unicyclic_profile,
 )
+from megset.classes import _is_complete_multipartite
 
 import oracles
 
@@ -231,6 +232,25 @@ def test_recognize_class_dispatch():
     lopsided = build_graph(6, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (4, 5), (1, 5)])
     with pytest.raises(UnrecognizedClassError):
         recognize_class(lopsided)
+
+
+def test_multipartite_check_matches_pair_oracle():
+    # relabelled multipartite graphs, and the same with one edge deleted
+    rng = random.Random(53)
+    corpus = oracles.random_corpus(60, 8, 53) + [build_graph(n, []) for n in range(4)]
+    for parts in ([1, 1], [1, 2], [2, 2], [1, 1, 2], [2, 3], [3, 3], [1, 2, 3], [2, 2, 2, 2]):
+        g = gen_multipartite(parts)
+        names = list(range(g.n))
+        rng.shuffle(names)
+        h = build_graph(g.n, [(names[u], names[v]) for u, v in g.edges])
+        cut = h.edges[rng.randrange(h.m)]
+        corpus += [g, h, build_graph(h.n, [e for e in h.edges if e != cut])]
+    found = 0
+    for g in corpus:
+        want = oracles.is_complete_multipartite_by_pairs(g)
+        assert _is_complete_multipartite(g) == want
+        found += want
+    assert found >= 16
 
 
 def test_recognize_class_relabeled_cycle():

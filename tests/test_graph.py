@@ -25,6 +25,7 @@ from megset import (
     is_meg_set,
     minimum_meg,
     random_connected,
+    random_tree,
     simplicial_vertices,
     simulate_failure,
     twin_vertices,
@@ -179,6 +180,18 @@ def test_twin_examples():
     assert twin_vertices(k23) == frozenset(range(5))
     assert twin_vertices(gen_path(4)) == frozenset()
     assert twin_vertices(gen_complete(3)) == frozenset({0, 1, 2})
+
+
+def test_simplicial_and_twins_match_pair_oracles():
+    # isolated vertices share the empty neighborhood but are nobody's twins
+    corpus = oracles.random_corpus(60, 9, 13) + [
+        random_tree(9, 13),
+        gen_complete(5),
+        build_graph(5, [(0, 1), (1, 2)]),
+    ]
+    for g in corpus:
+        assert simplicial_vertices(g) == oracles.simplicial_by_pairs(g)
+        assert twin_vertices(g) == oracles.twins_by_pairs(g)
 
 
 def test_cut_vertices_examples():

@@ -9,6 +9,7 @@ from megset import (
     INFINITE,
     DisconnectedGraphError,
     build_graph,
+    count_shortest_paths,
     distance_without_edge,
     gen_complete,
     gen_cycle,
@@ -93,20 +94,10 @@ def test_simulate_failure_examples():
     assert not simulate_failure(gen_cycle(4), {0, 1, 2}, (0, 3)).detected
 
 
-def _corpus(count, max_n, base_seed):
-    rng = random.Random(base_seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(2, max_n)
-        m = rng.randint(n - 1, n * (n - 1) // 2)
-        out.append(random_connected(n, m, rng.randrange(10**9)))
-    return out
-
-
 def test_criterion_equivalence_three_routes():
     # enumeration oracle vs distance-increase vs count-product, all agree
     rng = random.Random(11)
-    for g in _corpus(40, 10, 11):
+    for g in oracles.random_corpus(40, 10, 11):
         D, C = g.geodesy
         for _ in range(5):
             e = g.edges[rng.randrange(g.m)]
@@ -117,12 +108,28 @@ def test_criterion_equivalence_three_routes():
             assert by_enum == by_distance == by_counts
 
 
+def test_geodesic_counts_beyond_64_bits():
+    # 65 four-cycles glued in series: vertex 3i is joined to 3i+3 through
+    # both 3i+1 and 3i+2, so the ends 0 and 195 have 2**65 geodesics
+    g = build_graph(196, [(3 * i, 3 * i + j) for i in range(65) for j in (1, 2)]
+                    + [(3 * i + j, 3 * i + 3) for i in range(65) for j in (1, 2)])
+    D, C = g.geodesy
+    assert count_shortest_paths(g, 0, 195) == C[0][195] == 2**65
+    verdicts = set()
+    for x, y in ((0, 195), (0, 1), (1, 2), (1, 4), (2, 193), (97, 100)):
+        for u, v in g.edges:
+            got = _monitors(D, C, x, y, u, v)
+            assert got == pair_monitors_edge(g, x, y, (u, v))
+            verdicts.add(got)
+    assert verdicts == {False, True}
+
+
 # Each consumer of the one monitoring-pair scan, pinned to the enumeration
 # oracle over the pairs it scans.
 
 def test_witness_report_uncapped_matches_enumeration():
     rng = random.Random(31)
-    for g in _corpus(25, 9, 31):
+    for g in oracles.random_corpus(25, 9, 31):
         s = rng.sample(range(g.n), rng.randint(1, g.n))
         rep = witness_report(g, s, max_witnesses_per_edge=len(s) ** 2)
         for e in g.edges:
@@ -136,7 +143,7 @@ def test_witness_report_uncapped_matches_enumeration():
 
 
 def test_witness_masks_match_enumeration():
-    for g in _corpus(25, 9, 37):
+    for g in oracles.random_corpus(25, 9, 37):
         want = tuple(
             tuple(
                 (1 << x) | (1 << y)
@@ -150,7 +157,7 @@ def test_witness_masks_match_enumeration():
 
 def test_is_dem_set_matches_enumeration():
     rng = random.Random(41)
-    for g in _corpus(25, 9, 41):
+    for g in oracles.random_corpus(25, 9, 41):
         for size in (1, 2, rng.randint(1, g.n)):
             s = rng.sample(range(g.n), min(size, g.n))
             assert is_dem_set(g, s) == oracles.is_dem_by_enumeration(g, s)
@@ -171,7 +178,7 @@ def test_superset_closure(seed):
 
 
 def test_edge_endpoints_monitor_iff_unique_geodesic():
-    for g in _corpus(25, 9, 23):
+    for g in oracles.random_corpus(25, 9, 23):
         for (u, v) in g.edges:
             assert pair_monitors_edge(g, u, v, (u, v)) == (
                 distance_without_edge(g, (u, v), u, v) > 1
@@ -180,7 +187,7 @@ def test_edge_endpoints_monitor_iff_unique_geodesic():
 
 def test_simulate_nonempty_iff_monitored():
     rng = random.Random(5)
-    for g in _corpus(25, 9, 5):
+    for g in oracles.random_corpus(25, 9, 5):
         members = rng.sample(range(g.n), rng.randint(0, g.n))
         covered = monitored_edges(g, members)
         for e in g.edges:
@@ -190,7 +197,7 @@ def test_simulate_nonempty_iff_monitored():
 def test_simulate_failure_matches_distance_oracle():
     # a tree and a unicyclic graph put bridges (new distance INFINITE) in
     rng = random.Random(47)
-    corpus = _corpus(25, 9, 47) + [random_tree(9, 47), random_unicyclic(9, 4, 47)]
+    corpus = oracles.random_corpus(25, 9, 47) + [random_tree(9, 47), random_unicyclic(9, 4, 47)]
     for g in corpus:
         probe_sets = (
             range(g.n),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from megset import (
@@ -48,3 +50,17 @@ def test_random_connected():
         random_connected(5, 3, 0)
     with pytest.raises(ValueError):
         random_connected(5, 11, 0)
+
+
+@pytest.mark.parametrize("make, args, digest", [
+    (random_connected, (40, 52, 7),
+     "449a38f51e83bba2ab151bfc5aa11c3e58ddb257dfef409449850be90647b000"),
+    (random_connected, (300, 390, 7),
+     "1e74dff2db80b948802942582febfed3ddac0b1881bcda8fbac5e43ea14297f9"),
+    (random_tree, (30, 3),
+     "d1c4158dd9d5ddce7b41ac820c3fe9f22df5587d793a44d07ee1312e6b5785f3"),
+], ids=["connected-40", "connected-300", "tree-30"])
+def test_generated_edge_lists_are_pinned(make, args, digest):
+    # the benchmark's pinned answers identify graphs by value, so a
+    # generator must keep drawing the same numbers in the same order
+    assert hashlib.sha256(repr(make(*args).edges).encode()).hexdigest() == digest

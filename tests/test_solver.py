@@ -276,3 +276,46 @@ def test_seeded_solves_explore_one_node():
     ]
     for g in graphs:
         assert minimum_meg(g, cap=g.n).nodes_explored == 1
+
+
+def _milp_meg_number(g):
+    """meg(G) as a 0-1 program: a variable per vertex and per pair, a pair
+    at most each of its vertices, and per edge its monitoring pairs
+    summing to at least 1."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    pairs = list(combinations(range(g.n), 2))
+    width = g.n + len(pairs)
+    link = np.zeros((2 * len(pairs), width))
+    for i, pair in enumerate(pairs):
+        for j, v in enumerate(pair):
+            link[2 * i + j, g.n + i] = 1
+            link[2 * i + j, v] = -1
+    cover = np.zeros((g.m, width))
+    for r, e in enumerate(g.edges):
+        for i, (x, y) in enumerate(pairs):
+            if oracles.monitors_by_enumeration(g, x, y, e):
+                cover[r, g.n + i] = 1
+    res = milp(
+        np.concatenate([np.ones(g.n), np.zeros(len(pairs))]),
+        constraints=[LinearConstraint(link, -np.inf, 0), LinearConstraint(cover, 1, np.inf)],
+        integrality=np.ones(width),
+        bounds=Bounds(0, 1),
+    )
+    assert res.success
+    return round(res.fun)
+
+
+def test_meg_number_matches_milp():
+    pytest.importorskip("scipy")
+    rng = random.Random(83)
+    corpus = []
+    for _ in range(30):
+        n = rng.randint(3, 12)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+        corpus.append(random_connected(n, m, rng.randrange(10**9)))
+    corpus += [gen_grid(3, b) for b in (3, 4, 5)] + [gen_hypercube(3)]
+    corpus += [gen_tightness_family(2, 0), gen_tightness_family(3, 1)]
+    for g in corpus:
+        assert minimum_meg(g).meg_number == _milp_meg_number(g)

@@ -18,6 +18,7 @@ from megset import (
     minimum_meg,
     random_connected,
     random_tree,
+    random_unicyclic,
 )
 
 import oracles
@@ -99,6 +100,49 @@ def test_core_decomposition_single_cycle():
 def test_core_decomposition_rejects_forest():
     with pytest.raises(ValueError):
         core_decomposition(gen_path(5))
+
+
+def _fes_corpus():
+    """Random connected graphs with feedback edge number 1 to 6."""
+    rng = random.Random(59)
+    corpus = [random_unicyclic(n, k, n) for n, k in ((3, 3), (8, 4), (12, 5), (15, 9))]
+    for k in range(1, 7):
+        for _ in range(12):
+            n = rng.randint(5, 16)
+            corpus.append(random_connected(n, n - 1 + k, rng.randrange(10**9)))
+    return corpus + [gen_tightness_family(k, r) for k, r in ((2, 0), (3, 2))]
+
+
+def test_base_graph_matches_stripping_oracle():
+    corpus = _fes_corpus() + [random_tree(n, n) for n in (1, 2, 7, 12)]
+    for g in corpus:
+        base, trees = oracles.base_by_stripping(g)
+        dec = base_graph(g)
+        assert dec.base_vertices == base
+        assert dec.base.edges == tuple(e for e in g.edges if base.issuperset(e))
+        assert dec.hanging_trees == trees
+
+
+def test_core_decomposition_partitions_the_base():
+    seen = set()
+    for g in _fes_corpus():
+        k = feedback_edge_number(g)
+        seen.add(k)
+        base, _ = oracles.base_by_stripping(g)
+        base_degree = {v: sum(w in base for w in g.adj[v]) for v in base}
+        dec = core_decomposition(g)
+        assert dec.core_vertices == {v for v in base if base_degree[v] >= 3}
+        walks = dec.proper_core_paths + dec.core_cycles
+        walked = sorted((min(a, b), max(a, b)) for w in walks for a, b in zip(w, w[1:]))
+        assert walked == [e for e in g.edges if base.issuperset(e)]
+        for w in walks:
+            assert all(base_degree[v] == 2 for v in w[1:-1])
+        for p in dec.proper_core_paths:
+            assert p[0] != p[-1] and {p[0], p[-1]} <= dec.core_vertices
+        anchors = dec.core_vertices if k > 1 else {min(base)}
+        for c in dec.core_cycles:
+            assert c[0] == c[-1] and c[0] in anchors
+    assert seen == set(range(1, 7))
 
 
 def test_fes_construction_tree_is_exactly_leaves():
