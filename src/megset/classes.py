@@ -279,30 +279,31 @@ def recognize_class(g: Graph) -> ClassResult:
     """Match g against the known classes and return the closed-form result.
 
     Witnesses are mapped through the actual labeling where the class is
-    recognized structurally (cycles, multipartite); hypercubes and grids
-    are recognized only in canonical labeling.
+    recognized structurally (cycles, unicyclic, multipartite); hypercubes
+    and grids are recognized only in canonical labeling.
     """
     if is_tree(g) and g.m >= 1:
         return meg_tree(g)
-    if is_connected(g) and g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n)):
+    # the only complete, hypercube, grid or multipartite graphs with m = n
+    # are cycles (K3, Q2, the 2x2 grid, K2,2), so this branch decides them all
+    if is_connected(g) and g.n >= 3 and g.m == g.n:
         res = meg_unicyclic(g)
-        return ClassResult(res.meg_number, res.witness, CYCLE)
+        if all(g.degree(v) == 2 for v in range(g.n)):
+            return ClassResult(res.meg_number, res.witness, CYCLE)
+        return res
     if g.n >= 2 and g.m == g.n * (g.n - 1) // 2:
         return meg_complete(g.n)
     d = (g.n - 1).bit_length()
-    if g.n >= 4 and g.n == 1 << d and g.edges == gen_hypercube(d).edges:
+    if g.n >= 4 and g.n == 1 << d and g.m == d << (d - 1) and g.edges == gen_hypercube(d).edges:
         return meg_hypercube(d)
-    for a in range(2, g.n + 1):
-        if g.n % a:
-            continue
-        b = g.n // a
-        if b >= 2 and g.edges == gen_grid(a, b).edges:
-            return meg_grid(a, b)
+    # a canonical a-by-b grid with a, b >= 2 has N(0) = {1, b} and 2ab - a - b edges
+    b = g.adj[0][-1] if g.n >= 4 and g.degree(0) == 2 else 0
+    a = g.n // b if b and g.n % b == 0 else 0
+    if a and g.m == 2 * g.n - a - b and g.edges == gen_grid(a, b).edges:
+        return meg_grid(a, b)
     # stars K1,p are trees, so every multipartite graph here needs all of V
     if _is_complete_multipartite(g):
         return ClassResult(g.n, frozenset(range(g.n)), MULTIPARTITE)
-    if g.n >= 3 and is_connected(g) and g.m == g.n:
-        return meg_unicyclic(g)
     raise UnrecognizedClassError("graph matches no class with a closed-form MEG-set")
 
 

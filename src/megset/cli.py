@@ -2,9 +2,9 @@
 
 Graph files are plain text: comment lines start with '#', the first
 data line is "n m", and the next m lines are "u v" with 0-indexed
-endpoints.  Every subcommand accepts '-' to read the graph from stdin.
-Machine output is a single JSON document on stdout; --quiet prints just
-the headline value for shell pipelines.
+endpoints.  Every graph command runs one pipeline: read the file (or
+stdin for '-'), run the command on the graph, and print one JSON document
+on stdout, or with --quiet just its headline value for shell pipelines.
 
 Exit codes: 0 ok/detected, 1 undetected or failed verification,
 2 input error, 3 disconnected graph, 4 size or search cap exceeded,
@@ -132,22 +132,25 @@ def _parse_edge(text: str) -> tuple[int, int]:
         raise GraphFormatError(f"bad edge: {text!r}") from None
 
 
-def _input_summary(g: Graph) -> dict:
-    return {
-        "n": g.n,
-        "m": g.m,
-        "fes": structure.feedback_edge_number(g),
-        "leaf_count": len(structure.leaf_set(g)),
-    }
-
-
-def _document(command: str, g: Graph, result: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "input": _input_summary(g),
+def _run_graph_command(args) -> int:
+    """Read the graph, then run the command on it and emit its document:
+    timed from before the read, input block computed after the command."""
+    started = time.perf_counter()
+    g = _read_graph(args.file)
+    result, headline, ok = args.run(g, args)
+    doc = {
+        "command": args.command,
+        "input": {
+            "n": g.n,
+            "m": g.m,
+            "fes": structure.feedback_edge_number(g),
+            "leaf_count": len(structure.leaf_set(g)),
+        },
         "result": result,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
+    _emit(doc, args.quiet, headline)
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _emit(doc: dict, quiet: bool, headline) -> None:
@@ -161,9 +164,7 @@ def _json_distance(d) -> int | None:
     return None if d == INFINITE else int(d)
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    g = _read_graph(args.file)
+def cmd_verify(g: Graph, args):
     probe_set = _parse_vertex_list(args.set)
     report = witness_report(g, probe_set, max_witnesses_per_edge=args.max_witnesses)
     ok = not report.uncovered
@@ -176,13 +177,10 @@ def cmd_verify(args) -> int:
             for e, pairs in report.witnesses.items()
         ],
     }
-    _emit(_document("verify", g, result, started), args.quiet, str(ok).lower())
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return result, str(ok).lower(), ok
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    g = _read_graph(args.file)
+def cmd_solve(g: Graph, args):
     res = minimum_meg(g, cap=args.cap)
     result = {
         "meg_number": res.meg_number,
@@ -194,13 +192,10 @@ def cmd_solve(args) -> int:
         result["all_optimal"] = [
             sorted(s) for s in all_minimum_megs(g, limit=args.limit, cap=args.cap)
         ]
-    _emit(_document("solve", g, result, started), args.quiet, res.meg_number)
-    return EXIT_OK
+    return result, res.meg_number, True
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
-    g = _read_graph(args.file)
+def cmd_construct(g: Graph, args):
     if args.method == "fes":
         built = structure.fes_meg_construction(g)
         result = {
@@ -224,13 +219,10 @@ def cmd_construct(args) -> int:
             "size": len(cls.witness),
             "verified": True,
         }
-    _emit(_document("construct", g, result, started), args.quiet, result["size"])
-    return EXIT_OK
+    return result, result["size"], True
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    g = _read_graph(args.file)
+def cmd_simulate(g: Graph, args):
     probe_set = _parse_vertex_list(args.set)
     edge = _parse_edge(args.fail_edge)
     report = simulate_failure(g, probe_set, edge)
@@ -246,51 +238,47 @@ def cmd_simulate(args) -> int:
             for obs in report.observations
         ],
     }
-    _emit(_document("simulate", g, result, started), args.quiet, len(report.observations))
-    return EXIT_OK if report.detected else EXIT_NEGATIVE
+    return result, len(report.observations), report.detected
 
 
-# family -> (parameter count, None for "two or more"; constructor).  The seeded
-# families take --seed as their last argument.
+# family -> (parameter count, None for "two or more"; seeded; constructor).  A
+# seeded family takes --seed as its last argument.
 GENERATORS = {
-    "path": (1, classes.gen_path),
-    "cycle": (1, classes.gen_cycle),
-    "complete": (1, classes.gen_complete),
-    "star": (1, classes.gen_star),
-    "multipartite": (None, lambda *parts: classes.gen_multipartite(list(parts))),
-    "hypercube": (1, classes.gen_hypercube),
-    "grid": (2, classes.gen_grid),
-    "tree": (1, randgraphs.random_tree),
-    "unicyclic": (2, randgraphs.random_unicyclic),
-    "connected": (2, randgraphs.random_connected),
-    "tightness": (2, structure.gen_tightness_family),
+    "path": (1, False, classes.gen_path),
+    "cycle": (1, False, classes.gen_cycle),
+    "complete": (1, False, classes.gen_complete),
+    "star": (1, False, classes.gen_star),
+    "multipartite": (None, False, lambda *parts: classes.gen_multipartite(list(parts))),
+    "hypercube": (1, False, classes.gen_hypercube),
+    "grid": (2, False, classes.gen_grid),
+    "tree": (1, True, randgraphs.random_tree),
+    "unicyclic": (2, True, randgraphs.random_unicyclic),
+    "connected": (2, True, randgraphs.random_connected),
+    "tightness": (2, False, structure.gen_tightness_family),
 }
-SEEDED_FAMILIES = {"tree", "unicyclic", "connected"}
 
 
 def cmd_generate(args) -> int:
     family = args.family
     params = args.params
-    arity, make = GENERATORS[family]
+    arity, seeded, make = GENERATORS[family]
     if arity is None and len(params) < 2:
         raise GraphFormatError("multipartite needs at least 2 part sizes")
     if arity is not None and len(params) != arity:
         raise GraphFormatError(f"family {family} takes {arity} parameter(s), got {len(params)}")
-    seed = [args.seed] if family in SEEDED_FAMILIES else []
     comment = f"megset generate {family} " + " ".join(str(p) for p in params)
-    if seed:
+    if seeded:
+        params = [*params, args.seed]
         comment += f" seed={args.seed}"
     try:
-        g = make(*params, *seed)
+        g = make(*params)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
     sys.stdout.write(format_graph_text(g, comment))
     return EXIT_OK
 
 
-def cmd_invariants(args) -> int:
-    started = time.perf_counter()
-    g = _read_graph(args.file)
+def cmd_invariants(g: Graph, args):
     bound = structure.fes_budget(structure.feedback_edge_number(g), len(structure.leaf_set(g)))
     result = {
         "forced_count": len(forced_vertices(g)) if g.m else 0,
@@ -300,8 +288,7 @@ def cmd_invariants(args) -> int:
     if g.n <= args.cap and g.m >= 1:
         result["meg_number"] = minimum_meg(g, cap=args.cap).meg_number
     headline = result["meg_number"] if result["meg_number"] is not None else bound
-    _emit(_document("invariants", g, result, started), args.quiet, headline)
-    return EXIT_OK
+    return result, headline, True
 
 
 # ---------------------------------------------------------------------------
@@ -434,33 +421,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="check whether a vertex set is an MEG-set")
-    p.add_argument("file", help="graph file, or - for stdin")
+    def graph_command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file", help="graph file, or - for stdin")
+        p.add_argument("--quiet", action="store_true")
+        p.set_defaults(func=_run_graph_command, run=run)
+        return p
+
+    p = graph_command("verify", cmd_verify, "check whether a vertex set is an MEG-set")
     p.add_argument("--set", required=True, help="comma-separated vertex list")
     p.add_argument("--max-witnesses", type=int, default=3)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="exact minimum MEG-set")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = graph_command("solve", cmd_solve, "exact minimum MEG-set")
     p.add_argument("--all", action="store_true", help="enumerate all optimal sets")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("construct", help="constructive MEG-set (class formula or fes bound)")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = graph_command("construct", cmd_construct, "constructive MEG-set (class formula or fes bound)")
     p.add_argument("--method", choices=("fes", "class"), required=True)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("simulate", help="simulate one edge failure against a probe set")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = graph_command("simulate", cmd_simulate, "simulate one edge failure against a probe set")
     p.add_argument("--set", required=True, help="comma-separated vertex list")
     p.add_argument("--fail-edge", required=True, help="edge as u,v or u-v")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="emit a graph file for a named family")
     p.add_argument("family", choices=tuple(GENERATORS))
@@ -468,18 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("invariants", help="size parameters, bounds, and exact MEG when small")
-    p.add_argument("file", help="graph file, or - for stdin")
+    p = graph_command("invariants", cmd_invariants, "size parameters, bounds, and exact MEG when small")
     p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_invariants)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -30,6 +30,7 @@ from .graph import (
     INFINITE,
     Edge,
     Graph,
+    _check_vertex,
     bfs_distances,
     distance,
     distance_without_edge,
@@ -95,8 +96,7 @@ def pair_monitors_edge(g: Graph, x: int, y: int, e: tuple[int, int]) -> bool:
 def _sorted_set(g: Graph, s) -> list[int]:
     out = sorted(set(s))
     for v in out:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside [0,{g.n})")
+        _check_vertex(g, v)
     return out
 
 

@@ -21,11 +21,13 @@ from megset import (
     meg_tree,
     meg_unicyclic,
     minimum_meg,
+    random_connected,
     random_tree,
     random_unicyclic,
     recognize_class,
     unicyclic_profile,
 )
+from megset import classes
 from megset.classes import _is_complete_multipartite
 
 import oracles
@@ -226,12 +228,47 @@ def test_recognize_class_dispatch():
     assert recognize_class(gen_multipartite([2, 3])).theorem == "MULTIPARTITE"
     uni = pendant(gen_cycle(5), [0])
     assert recognize_class(uni).theorem == "UNICYCLIC"
+    assert recognize_class(pendant(gen_cycle(3), [0])).theorem == "UNICYCLIC"
+    # K3, Q2, the 2x2 grid and K2,2 (C4 in its other two labelings) have m = n:
+    # they are cycles before they are complete, hypercube, grid or multipartite
+    for g in (gen_cycle(3), gen_complete(3), gen_hypercube(2), gen_grid(2, 2), gen_multipartite([2, 2])):
+        res = recognize_class(g)
+        assert (res.theorem, res.meg_number, res.witness) == ("CYCLE", g.n, frozenset(range(g.n)))
     # the all-length-2 theta is K_{2,3}, hence multipartite
     assert recognize_class(build_graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])).theorem == "MULTIPARTITE"
     # a theta with unequal path lengths matches nothing
     lopsided = build_graph(6, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (4, 5), (1, 5)])
     with pytest.raises(UnrecognizedClassError):
         recognize_class(lopsided)
+
+
+def test_recognize_class_builds_at_most_one_canonical_graph(monkeypatch):
+    # 360 and 600 have many factorizations a*b; at most one grid may be built
+    grids = {(a, b): gen_grid(a, b) for a in range(2, 9) for b in range(3, 13)}
+    others = [random_connected(360, 400, s) for s in range(3)] + [
+        random_unicyclic(600, 60, 600001),
+        gen_hypercube(4),
+        pendant(gen_grid(4, 6), [0]),
+        # Q3's n and m, and vertex 0 placed as in the 2x4 grid
+        build_graph(8, [*gen_grid(2, 4).edges, (1, 6), (2, 5)]),
+    ]
+    expected = [meg_grid(a, b) for a, b in grids] + [None] * 3 + [
+        meg_unicyclic(others[3]),
+        meg_hypercube(4),
+        None,
+        None,
+    ]
+    builds = []
+    for name in ("gen_grid", "gen_hypercube"):
+        make = getattr(classes, name)
+        monkeypatch.setattr(classes, name, lambda *args, make=make: builds.append(args) or make(*args))
+    for g, want in zip([*grids.values(), *others], expected):
+        builds.clear()
+        try:
+            got = recognize_class(g)
+        except UnrecognizedClassError:
+            got = None
+        assert got == want and len(builds) <= 1, builds
 
 
 def test_multipartite_check_matches_pair_oracle():

@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
+import sys
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from megset import gen_complete, gen_cycle, gen_grid, minimum_meg
+from megset import build_graph, gen_complete, gen_cycle, gen_grid, is_connected, minimum_meg
 from megset.cli import RESULT_SCHEMAS, format_graph_text, main, parse_graph_text
 
 
@@ -30,6 +34,61 @@ def write_graph(tmp_path, g, name="g.txt"):
 def test_parse_round_trip():
     g = gen_grid(3, 4)
     assert parse_graph_text(format_graph_text(g, "fixture")) == g
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges)
+
+
+# a comment is one line: no control characters or line and paragraph separators
+COMMENTS = st.none() | st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=20)
+
+
+@given(small_graphs(), COMMENTS)
+@settings(max_examples=200, deadline=None)
+def test_parse_round_trip_random(g, comment):
+    assert parse_graph_text(format_graph_text(g, comment)) == g
+
+
+TOKENS = st.sampled_from(["0", "1", "2", "3", "7", "-1", "12", "10**9", "x", "#", "1.5", "0x1", ""])
+
+
+@st.composite
+def garbage(draw):
+    rows = draw(st.lists(st.lists(TOKENS, max_size=4).map(" ".join) | st.text(max_size=8), max_size=8))
+    if draw(st.booleans()):
+        # a header that promises as many edges as there are rows, so the rows are parsed
+        rows.insert(0, f"{draw(st.integers(-1, 12))} {len(rows)}")
+    return "\n".join(rows)
+
+
+def run_stdin(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(garbage())
+@settings(max_examples=300, deadline=None)
+def test_garbage_stdin_exits_two_or_three(text):
+    try:
+        g = parse_graph_text(text)
+    except ValueError:
+        g = None
+    assume(g is None or not is_connected(g))
+    for argv in (["verify", "-", "--set", "0,1"], ["construct", "-", "--method", "fes"]):
+        code, out, err = run_stdin(argv, text)
+        assert code in (2, 3) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parse_errors():
@@ -219,6 +278,9 @@ def test_disconnected_exit_three(tmp_path, capsys):
         path = write_graph(tmp_path, parse_graph_text(text), f"g{i}.txt")
         for argv in (
             ("verify", path, "--set", "0,1"),
+            # the graph is read before the command's own arguments are parsed
+            ("verify", path, "--set", "a"),
+            ("simulate", path, "--set", "a", "--fail-edge", "x"),
             ("solve", path),
             ("invariants", path),
             ("construct", path, "--method", "fes"),

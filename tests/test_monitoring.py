@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from megset import (
     INFINITE,
     DisconnectedGraphError,
+    GraphFormatError,
     build_graph,
     count_shortest_paths,
     distance_without_edge,
@@ -45,6 +46,15 @@ def test_pair_monitors_edge_errors():
         pair_monitors_edge(gen_path(3), 0, 2, (0, 2))
     with pytest.raises(DisconnectedGraphError):
         pair_monitors_edge(build_graph(4, [(0, 1), (2, 3)]), 0, 1, (0, 1))
+
+
+def test_probe_outside_graph_is_a_format_error():
+    g = gen_cycle(5)
+    for check in (is_meg_set, monitored_edges, witness_report, is_dem_set):
+        with pytest.raises(GraphFormatError, match=r"vertex 9 outside \[0,5\)"):
+            check(g, [0, 9])
+    with pytest.raises(GraphFormatError, match=r"vertex -1 outside \[0,5\)"):
+        simulate_failure(g, [-1, 2], (0, 1))
 
 
 def test_monitored_edges_examples():
