@@ -83,7 +83,7 @@ def _edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
 def format_graph_text(g: Graph, comment: str | None = None) -> str:
     lines = []
     if comment:
-        lines.append(f"# {comment}")
+        lines.extend(f"# {piece}" for piece in comment.splitlines())
     lines.append(f"{g.n} {g.m}")
     lines.extend(f"{u} {v}" for (u, v) in g.edges)
     return "\n".join(lines) + "\n"

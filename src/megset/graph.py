@@ -28,9 +28,9 @@ class Graph:
     """Simple undirected graph: edge list plus sorted adjacency, both immutable.
 
     Connectivity is not an invariant; operations that need it check it.
-    Derived tables (the edge set, connectivity, ``geodesy``) are cached on
-    the instance, so each is computed once per graph and freed with it;
-    equality and hashing see only ``n``, ``edges`` and ``adj``.
+    Derived tables (the edge set, connectivity, the ``geodesy`` rows,
+    filled per source on first use) are cached on the instance and freed
+    with it; equality and hashing see only ``n``, ``edges`` and ``adj``.
     """
 
     n: int
@@ -58,14 +58,19 @@ class Graph:
         return self.n <= 1 or INFINITE not in bfs_distances(self, 0)
 
     @cached_property
-    def geodesy(self) -> tuple[DistanceMatrix, CountMatrix]:
-        """All-pairs distances and geodesic counts (one counting BFS per vertex)."""
-        dists = []
-        counts = []
-        for s in range(self.n):
-            d, c = _bfs_with_counts(self, s)
-            dists.append(tuple(d))
-            counts.append(tuple(c))
+    def _geodesy_rows(self) -> tuple[list, list]:
+        return [None] * self.n, [None] * self.n
+
+    def geodesy(self, sources: Iterable[int]) -> tuple[DistanceMatrix, CountMatrix]:
+        """Distance and geodesic-count rows indexed by source: those of the
+        given sources filled (one counting BFS each, on first use), None
+        for a source that no call has asked for yet."""
+        dists, counts = self._geodesy_rows
+        for s in sources:
+            _check_vertex(self, s)
+            if dists[s] is None:
+                d, c = _bfs_with_counts(self, s)
+                dists[s], counts[s] = tuple(d), tuple(c)
         return tuple(dists), tuple(counts)
 
 
@@ -140,12 +145,12 @@ def bfs_distances(g: Graph, source: int, skip: Edge | None = None) -> list[float
 def distance(g: Graph, u: int, v: int) -> float:
     """BFS hop distance between u and v; INFINITE across components."""
     _check_vertex(g, v)
-    return bfs_distances(g, u)[v]
+    return g.geodesy((u,))[0][u][v]
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """All-pairs hop distances, one BFS per vertex."""
-    return tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
+    """All-pairs hop distances: every row of ``geodesy``."""
+    return g.geodesy(range(g.n))[0]
 
 
 def count_shortest_paths(g: Graph, u: int, v: int) -> int:
@@ -158,8 +163,7 @@ def count_shortest_paths(g: Graph, u: int, v: int) -> int:
     _check_vertex(g, v)
     if u == v:
         raise ValueError("count_shortest_paths requires u != v")
-    dist, counts = _bfs_with_counts(g, u)
-    return counts[v]
+    return g.geodesy((u,))[1][u][v]
 
 
 def _bfs_with_counts(g: Graph, source: int) -> tuple[list[float], list[int]]:

@@ -11,35 +11,30 @@ minimizing these parameters is a different problem.
 from __future__ import annotations
 
 from .errors import SizeCapExceededError
-from .graph import Graph, Edge, require_connected
-from .monitoring import _member_rows, _monitoring_pairs, _sorted_set
+from .graph import Graph, Edge
+from .monitoring import _probes
 
 STRONG_EG_DEFAULT_CAP = 10**6
 
 
 def is_geodetic_set(g: Graph, s) -> bool:
     """Every vertex lies on some geodesic between two vertices of s."""
-    require_connected(g)
-    members = _sorted_set(g, s)
-    D, _ = g.geodesy
-    rows = _member_rows(members)
+    members, (D, _), rows = _probes(g, s)
     in_s = set(members)
     for v in range(g.n):
         if v in in_s:
             continue
-        if not any(D[x][v] + D[v][y] == D[x][y] for x, ys in rows for y in ys):
+        if not any(D[x][v] + D[y][v] == D[x][y] for x, ys in rows for y in ys):
             return False
     return True
 
 
 def is_edge_geodetic_set(g: Graph, s) -> bool:
     """Every edge lies on some geodesic between two vertices of s."""
-    require_connected(g)
-    rows = _member_rows(_sorted_set(g, s))
-    D, _ = g.geodesy
+    _, (D, _), rows = _probes(g, s)
     for (u, v) in g.edges:
         if not any(
-            D[x][u] + 1 + D[v][y] == D[x][y] or D[x][v] + 1 + D[u][y] == D[x][y]
+            D[x][u] + 1 + D[y][v] == D[x][y] or D[x][v] + 1 + D[y][u] == D[x][y]
             for x, ys in rows
             for y in ys
         ):
@@ -54,11 +49,10 @@ def is_strong_edge_geodetic_set(g: Graph, s, *, cap: int = STRONG_EG_DEFAULT_CAP
     selections is the product of per-pair geodesic counts; instances
     where it exceeds the cap raise instead of running unbounded.
     """
-    require_connected(g)
-    D, C = g.geodesy
+    _, (D, C), rows = _probes(g, s)
     product = 1
     pairs = []
-    for x, ys in _member_rows(_sorted_set(g, s)):
+    for x, ys in rows:
         for y in ys:
             pairs.append((x, y))
             product *= C[x][y]
@@ -118,8 +112,8 @@ def _geodesic_edge_sets(g: Graph, D, x: int, y: int) -> list[frozenset[Edge]]:
 
 def is_dem_set(g: Graph, s) -> bool:
     """Distance-edge-monitoring: each edge is monitored by some pair with
-    one endpoint in s and the other anywhere in the graph."""
-    require_connected(g)
-    # the pair (x, x) never matches: at distance 0 no edge is on its geodesic
-    rows = [(x, range(g.n)) for x in _sorted_set(g, s)]
-    return all(next(_monitoring_pairs(g, e, rows), None) is not None for e in g.edges)
+    one endpoint in s and the other anywhere in the graph, decided on the
+    members' rows by the DEM lemma in ``monitoring``."""
+    members, (D, C), _ = _probes(g, s)
+    return all(any(D[x][u] != D[x][v] and C[x][u] == C[x][v] for x in members)
+               for u, v in g.edges)

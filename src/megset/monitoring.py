@@ -7,18 +7,23 @@ e is on all geodesics exactly when its removal destroys all of them.
 Every set-level check, and the simulator's choice of detecting pairs,
 use a count-product criterion that costs O(1) per query: e = (u, v) is
 on all x-y geodesics iff the number of geodesics through e, which is
-sigma(x,u) * sigma(v,y) in the feasible orientation, equals sigma(x,y).
-One counting BFS per vertex replaces one BFS per (pair, edge) query.
-The distance-increase test backs pair_monitors_edge and the new
-distances that the simulator reports.  The test suite pins all three
-routes (path enumeration, distance increase, count product) to each
-other.
+sigma(x,u) * sigma(y,v) in the feasible orientation, equals sigma(x,y).
+It reads only the geodesy rows of x and y, so a check builds one
+counting BFS row per probe, kept on the graph.  The distance-increase
+test backs pair_monitors_edge and the new distances that the simulator
+reports.  The test suite pins all three routes (path enumeration,
+distance increase, count product) to each other.
+
+DEM lemma: some pair (x, y) monitors u-v iff d(x,u) != d(x,v) and
+sigma(x,u) = sigma(x,v), that is iff the farther endpoint has the nearer
+one as its only neighbour one step closer to x (and then y can be the
+farther endpoint).  So hierarchy's DEM check reads only members' rows.
 
 These checks read one scan, _monitoring_pairs, which yields the
 monitoring pairs of one edge among given candidate rows: is_meg_set and
 monitored_edges take its first pair, witness_report its first few,
 simulate_failure all pairs of the probe set, and the solver's mask
-table and the DEM check in hierarchy scan wider rows.
+table scans all pairs of the graph.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .graph import (
     INFINITE,
     Edge,
     Graph,
-    _check_vertex,
     bfs_distances,
     distance,
     distance_without_edge,
@@ -73,10 +77,10 @@ def _monitors(D, C, x: int, y: int, u: int, v: int) -> bool:
     if d == INFINITE:
         return False
     via = 0
-    if D[x][u] + 1 + D[v][y] == d:
-        via = C[x][u] * C[v][y]
-    elif D[x][v] + 1 + D[u][y] == d:
-        via = C[x][v] * C[u][y]
+    if D[x][u] + 1 + D[y][v] == d:
+        via = C[x][u] * C[y][v]
+    elif D[x][v] + 1 + D[y][u] == d:
+        via = C[x][v] * C[y][u]
     return via == C[x][y]
 
 
@@ -93,19 +97,22 @@ def pair_monitors_edge(g: Graph, x: int, y: int, e: tuple[int, int]) -> bool:
     return distance_without_edge(g, (eu, ev), x, y) > distance(g, x, y)
 
 
-def _sorted_set(g: Graph, s) -> list[int]:
-    out = sorted(set(s))
-    for v in out:
-        _check_vertex(g, v)
-    return out
+def _probes(g: Graph, s):
+    """Preamble of the set-level checks: the sorted members of s, their
+    geodesy rows (D, C), and their pairs as lexicographic scan rows."""
+    require_connected(g)
+    members = sorted(set(s))
+    geodesy = g.geodesy(members)  # raises on a member outside the graph
+    rows = [(x, members[i + 1:]) for i, x in enumerate(members)]
+    return members, geodesy, rows
 
 
-def _monitoring_pairs(g: Graph, e: Edge, rows):
+def _monitoring_pairs(D, C, e: Edge, rows):
     """The pairs (x, y) that monitor edge e, in the order of rows.
 
-    rows is a sequence of (x, ys); x is paired with each y of ys in turn.
+    rows is a sequence of (x, ys); x is paired with each y of ys in turn;
+    D and C must hold the geodesy rows of every vertex in rows.
     """
-    D, C = g.geodesy
     u, v = e
     for x, ys in rows:
         for y in ys:
@@ -113,23 +120,16 @@ def _monitoring_pairs(g: Graph, e: Edge, rows):
                 yield x, y
 
 
-def _member_rows(members: list[int]) -> list[tuple[int, list[int]]]:
-    """The pairs of a sorted set, lexicographic, as rows for the scan."""
-    return [(x, members[i + 1:]) for i, x in enumerate(members)]
-
-
 def monitored_edges(g: Graph, s) -> set[Edge]:
     """All edges monitored by at least one pair drawn from s."""
-    require_connected(g)
-    rows = _member_rows(_sorted_set(g, s))
-    return {e for e in g.edges if next(_monitoring_pairs(g, e, rows), None) is not None}
+    _, (D, C), rows = _probes(g, s)
+    return {e for e in g.edges if next(_monitoring_pairs(D, C, e, rows), None) is not None}
 
 
 def is_meg_set(g: Graph, s) -> bool:
     """True iff every edge of g is monitored by some pair of s."""
-    require_connected(g)
-    rows = _member_rows(_sorted_set(g, s))
-    return all(next(_monitoring_pairs(g, e, rows), None) is not None for e in g.edges)
+    _, (D, C), rows = _probes(g, s)
+    return all(next(_monitoring_pairs(D, C, e, rows), None) is not None for e in g.edges)
 
 
 def witness_report(g: Graph, s, max_witnesses_per_edge: int = 3) -> WitnessReport:
@@ -137,12 +137,11 @@ def witness_report(g: Graph, s, max_witnesses_per_edge: int = 3) -> WitnessRepor
 
     The uncovered list is always complete regardless of the cap.
     """
-    require_connected(g)
-    rows = _member_rows(_sorted_set(g, s))
+    _, (D, C), rows = _probes(g, s)
     if max_witnesses_per_edge < 1:
         raise ValueError("max_witnesses_per_edge must be positive")
     witnesses = {
-        e: list(islice(_monitoring_pairs(g, e, rows), max_witnesses_per_edge))
+        e: list(islice(_monitoring_pairs(D, C, e, rows), max_witnesses_per_edge))
         for e in g.edges
     }
     uncovered = [e for e, found in witnesses.items() if not found]
@@ -156,14 +155,14 @@ def simulate_failure(g: Graph, s, e: tuple[int, int]) -> DetectionReport:
     bridge failure shows up as INFINITE new distance.  An empty report
     means no pair of s monitors e.
     """
+    # the edge is checked before the set
     require_connected(g)
     failed = normalize_edge(g, e)
-    rows = _member_rows(_sorted_set(g, s))
+    _, (D, C), rows = _probes(g, s)
     report = DetectionReport(failed_edge=failed)
-    D, _ = g.geodesy
     # one BFS on G-e per probe that heads a detecting pair
     new_dist = {}
-    for x, y in _monitoring_pairs(g, failed, rows):
+    for x, y in _monitoring_pairs(D, C, failed, rows):
         if x not in new_dist:
             new_dist[x] = bfs_distances(g, x, failed)
         report.observations.append(ProbeObservation(x, y, D[x][y], new_dist[x][y]))

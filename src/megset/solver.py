@@ -25,7 +25,6 @@ from .errors import SizeCapExceededError
 from .graph import (
     Graph,
     connected_components,
-    cut_vertices,
     induced_subgraph,
     require_connected,
     simplicial_vertices,
@@ -65,9 +64,10 @@ def _witness_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     Every list is nonempty: in a simple graph an edge is always
     monitored by its own endpoints.
     """
+    D, C = g.geodesy(range(g.n))
     rows = [(x, range(x + 1, g.n)) for x in range(g.n)]
     return tuple(
-        tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(g, e, rows))
+        tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(D, C, e, rows))
         for e in g.edges
     )
 
@@ -310,12 +310,12 @@ def compose_via_cut_vertex(g: Graph, v: int, component_sets: list) -> frozenset[
     necessarily minimum).
     """
     require_connected(g)
-    if v not in cut_vertices(g):
-        raise ValueError(f"vertex {v} is not a cut vertex")
-    rest, _ = induced_subgraph(g, [w for w in range(g.n) if w != v])
-    # rest uses shifted labels; recover original ids for each component
     original = [w for w in range(g.n) if w != v]
+    rest, _ = induced_subgraph(g, original)
+    # rest uses shifted labels; recover original ids for each component
     comps = [[original[w] for w in comp] for comp in connected_components(rest)]
+    if len(comps) < 2:
+        raise ValueError(f"vertex {v} is not a cut vertex")
     if len(component_sets) != len(comps):
         raise ValueError(f"expected {len(comps)} component sets, got {len(component_sets)}")
     union: set[int] = set()

@@ -14,8 +14,13 @@ from megset import (
     distance_without_edge,
     gen_complete,
     gen_cycle,
+    gen_grid,
+    gen_hypercube,
+    gen_multipartite,
     gen_path,
     is_dem_set,
+    is_edge_geodetic_set,
+    is_geodetic_set,
     is_meg_set,
     minimum_meg,
     monitored_edges,
@@ -26,6 +31,7 @@ from megset import (
     simulate_failure,
     witness_report,
 )
+from megset import graph as graph_module
 from megset import monitoring
 from megset.monitoring import _monitors
 from megset.solver import _witness_masks
@@ -108,7 +114,7 @@ def test_criterion_equivalence_three_routes():
     # enumeration oracle vs distance-increase vs count-product, all agree
     rng = random.Random(11)
     for g in oracles.random_corpus(40, 10, 11):
-        D, C = g.geodesy
+        D, C = g.geodesy(range(g.n))
         for _ in range(5):
             e = g.edges[rng.randrange(g.m)]
             x, y = rng.sample(range(g.n), 2)
@@ -123,7 +129,7 @@ def test_geodesic_counts_beyond_64_bits():
     # both 3i+1 and 3i+2, so the ends 0 and 195 have 2**65 geodesics
     g = build_graph(196, [(3 * i, 3 * i + j) for i in range(65) for j in (1, 2)]
                     + [(3 * i + j, 3 * i + 3) for i in range(65) for j in (1, 2)])
-    D, C = g.geodesy
+    D, C = g.geodesy(range(g.n))
     assert count_shortest_paths(g, 0, 195) == C[0][195] == 2**65
     verdicts = set()
     for x, y in ((0, 195), (0, 1), (1, 2), (1, 4), (2, 193), (97, 100)):
@@ -167,10 +173,48 @@ def test_witness_masks_match_enumeration():
 
 def test_is_dem_set_matches_enumeration():
     rng = random.Random(41)
-    for g in oracles.random_corpus(25, 9, 41):
-        for size in (1, 2, rng.randint(1, g.n)):
+    families = [gen_cycle(k) for k in range(4, 8)] + [
+        gen_hypercube(3), gen_grid(3, 4), gen_multipartite([2, 3]), gen_multipartite([3, 3, 2])]
+    for g in oracles.random_corpus(25, 9, 41) + families:
+        for size in (1, 2, rng.randint(1, g.n), g.n):
             s = rng.sample(range(g.n), min(size, g.n))
             assert is_dem_set(g, s) == oracles.is_dem_by_enumeration(g, s)
+
+
+def test_is_dem_set_beyond_64_bits():
+    # the series graph of test_geodesic_counts_beyond_64_bits: from 195 the
+    # counts at 0 and 1 are 2**65 and 2**64, so no pair (195, y) monitors (0, 1)
+    g = build_graph(196, [(3 * i, 3 * i + j) for i in range(65) for j in (1, 2)]
+                    + [(3 * i + j, 3 * i + 3) for i in range(65) for j in (1, 2)])
+
+    def by_pairs(members, e):
+        return any(pair_monitors_edge(g, x, y, e) for x in members for y in range(g.n) if y != x)
+
+    assert not is_dem_set(g, [195])
+    assert not by_pairs([195], (0, 1))
+    # from both ends every edge is monitored
+    assert is_dem_set(g, [0, 195])
+    for e in random.Random(5).sample(g.edges, 4) + [(0, 1), (193, 195)]:
+        assert by_pairs([0, 195], e)
+
+
+def test_set_checks_build_one_geodesy_row_per_probe(monkeypatch):
+    sources = []
+    bfs = graph_module._bfs_with_counts
+
+    def counting_bfs(g, source):
+        sources.append(source)
+        return bfs(g, source)
+
+    monkeypatch.setattr(graph_module, "_bfs_with_counts", counting_bfs)
+    checks = (is_meg_set, witness_report, is_geodetic_set, is_edge_geodetic_set, is_dem_set,
+              lambda g, s: simulate_failure(g, s, g.edges[0]))
+    for check in checks:
+        g = random_connected(30, 40, 3)
+        sources.clear()
+        for _ in range(2):
+            check(g, [4, 17, 4, 9, 28])
+        assert sorted(sources) == [4, 9, 17, 28]
 
 
 @given(st.integers(0, 10**6))

@@ -170,9 +170,10 @@ def test_compose_path_split():
 
 def test_compose_errors():
     g = bowtie()
-    with pytest.raises(ValueError):
-        compose_via_cut_vertex(g, 1, [{0, 1, 2}, {0, 3, 4}])
-    with pytest.raises(ValueError):
+    for v in (1, 5, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} is not a cut vertex"):
+            compose_via_cut_vertex(g, v, [{0, 1, 2}, {0, 3, 4}])
+    with pytest.raises(ValueError, match="not an MEG-set of its piece"):
         compose_via_cut_vertex(g, 0, [{0, 1}, {0, 3, 4}])
 
 

@@ -42,3 +42,38 @@ def test_package_has_no_self_calls():
         and _calls_by_name(node, node.name)
     ]
     assert offenders == []
+
+
+class _References(ast.NodeVisitor):
+    """The scopes (dotted class and function names) that mention a name."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.scope: list[str] = []
+        self.found: list[str] = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Name(self, node):
+        if node.id == self.name:
+            self.found.append(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_counting_bfs_runs_only_in_the_geodesy_accessor():
+    # the per-source geodesy rows are the one owner of geodesic counts
+    refs = []
+    for name, tree in _package_trees():
+        visitor = _References("_bfs_with_counts")
+        visitor.visit(tree)
+        refs += [f"{name}:{scope}" for scope in visitor.found]
+    assert refs == ["graph.py:Graph.geodesy"]
