@@ -4,15 +4,15 @@ A pair (x, y) monitors an edge e when e lies on every geodesic between
 x and y, or equivalently when deleting e strictly increases d(x, y):
 e is on all geodesics exactly when its removal destroys all of them.
 
-Every set-level check, and the simulator's choice of detecting pairs,
-use a count-product criterion that costs O(1) per query: e = (u, v) is
-on all x-y geodesics iff the number of geodesics through e, which is
-sigma(x,u) * sigma(y,v) in the feasible orientation, equals sigma(x,y).
-It reads only the geodesy rows of x and y, so a check builds one
-counting BFS row per probe, kept on the graph.  The distance-increase
-test backs pair_monitors_edge and the new distances that the simulator
-reports.  The test suite pins all three routes (path enumeration,
-distance increase, count product) to each other.
+This module decides monitoring one way only, by a count-product
+criterion that costs O(1) per query: e = (u, v) is on all x-y geodesics
+iff the number of geodesics through e, which is sigma(x,u) * sigma(y,v)
+in the feasible orientation, equals sigma(x,y).  It reads only the
+geodesy rows of x and y, so a check builds one counting BFS row per
+probe, kept on the graph.  pair_monitors_edge and every set-level check
+use it.  Distance increase and path enumeration live on as test
+oracles, and the suite pins all three routes to each other.  The
+simulator still runs a BFS on G-e, for the new distances it reports.
 
 DEM lemma: some pair (x, y) monitors u-v iff d(x,u) != d(x,v) and
 sigma(x,u) = sigma(x,v), that is iff the farther endpoint has the nearer
@@ -36,8 +36,6 @@ from .graph import (
     Edge,
     Graph,
     bfs_distances,
-    distance,
-    distance_without_edge,
     normalize_edge,
     require_connected,
 )
@@ -87,14 +85,14 @@ def _monitors(D, C, x: int, y: int, u: int, v: int) -> bool:
 def pair_monitors_edge(g: Graph, x: int, y: int, e: tuple[int, int]) -> bool:
     """True iff e lies on every geodesic between x and y.
 
-    Decided by the distance-increase test: d(G-e; x, y) > d(G; x, y),
-    with INFINITE counting as greater (bridge case).
+    Decided by the count product on the geodesy rows of x and y.
     """
     require_connected(g)
     eu, ev = normalize_edge(g, e)
     if x == y:
         raise ValueError("monitoring pair must be two distinct vertices")
-    return distance_without_edge(g, (eu, ev), x, y) > distance(g, x, y)
+    D, C = g.geodesy((y, x))  # y's range error comes first
+    return _monitors(D, C, x, y, eu, ev)
 
 
 def _probes(g: Graph, s):

@@ -30,7 +30,7 @@ from .graph import (
     simplicial_vertices,
     twin_vertices,
 )
-from .monitoring import _monitoring_pairs, is_meg_set
+from .monitoring import _monitoring_pairs, _probes, is_meg_set
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -64,23 +64,29 @@ def _witness_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     Every list is nonempty: in a simple graph an edge is always
     monitored by its own endpoints.
     """
-    D, C = g.geodesy(range(g.n))
-    rows = [(x, range(x + 1, g.n)) for x in range(g.n)]
+    _, (D, C), rows = _probes(g, range(g.n))
     return tuple(
         tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(D, C, e, rows))
         for e in g.edges
     )
 
 
-def _implied_seed(masks: tuple[tuple[int, ...], ...]) -> int:
-    """Bitmask of all vertices known to lie in every MEG-set.
+def _requirements(masks: tuple[tuple[int, ...], ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """The implied seed, and the coverage requirements it leaves.
 
-    A vertex common to all monitoring pairs of some edge is unavoidable:
-    that edge cannot be covered without it.  The structurally forced
-    vertices (simplicial vertices and twins) are among these: each lies
-    in every monitoring pair of one of its own edges, because a
-    simplicial vertex is never interior to a geodesic and a geodesic
-    through a twin has a copy through the other twin.
+    The seed is the bitmask of the vertices common to all monitoring
+    pairs of some edge: that edge cannot be covered without them, so
+    they lie in every MEG-set.  The structurally forced vertices
+    (simplicial vertices and twins) are among these: each lies in every
+    monitoring pair of one of its own edges, because a simplicial vertex
+    is never interior to a geodesic and a geodesic through a twin has a
+    copy through the other twin.
+
+    Per edge, a requirement lists the free-vertex masks that would cover
+    it: its monitoring pairs minus the seed bits.  An edge with an empty
+    option is covered by the seed and dropped.  Requirements are ordered
+    fewest-options-first, the order in which the search's packing bound
+    takes them.
     """
     seed = 0
     for pairs in masks:
@@ -90,25 +96,13 @@ def _implied_seed(masks: tuple[tuple[int, ...], ...]) -> int:
             if not common:
                 break
         seed |= common
-    return seed
-
-
-def _coverage_requirements(masks: tuple[tuple[int, ...], ...], seed: int) -> list[tuple[int, ...]]:
-    """Per still-uncovered edge, the free-vertex masks that would cover it.
-
-    Each requirement is a monitoring pair minus the seed bits; an empty
-    requirement means the seed already covers the edge, which drops it.
-    Edges are ordered fewest-options-first, the order in which the
-    search's packing bound takes them.
-    """
     reqs = []
     for pairs in masks:
         opts = sorted({pm & ~seed for pm in pairs})
-        if opts[0] == 0:
-            continue
-        reqs.append(tuple(opts))
+        if opts[0]:
+            reqs.append(tuple(opts))
     reqs.sort(key=len)
-    return reqs
+    return seed, reqs
 
 
 def _trim(reqs: _Requirements, add: int, allowed: int) -> _Requirements | None:
@@ -270,9 +264,8 @@ def _layered_search(g: Graph, *, cap: int, limit: int | None):
     if g.n > cap:
         raise SizeCapExceededError(f"graph has {g.n} vertices, solver cap is {cap}")
     structural = forced_vertices(g)
-    masks = _witness_masks(g)
-    seed = _implied_seed(masks)
-    search = _CoverSearch(_coverage_requirements(masks, seed), ((1 << g.n) - 1) & ~seed)
+    seed, reqs = _requirements(_witness_masks(g))
+    search = _CoverSearch(reqs, ((1 << g.n) - 1) & ~seed)
     hits = search.covers(search.minimum_size(), limit)
     return [seed | h for h in hits], structural, search.nodes
 

@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from megset import INFINITE, Graph, is_meg_set, random_connected
 from megset.graph import delete_edge
-from megset.solver import _coverage_requirements, _implied_seed, _witness_masks
+from megset.solver import _requirements, _witness_masks
 
 
 def random_corpus(count: int, max_n: int, base_seed: int) -> list[Graph]:
@@ -72,6 +72,13 @@ def monitors_by_enumeration(g: Graph, x: int, y: int, e: tuple[int, int]) -> boo
     eu, ev = min(e), max(e)
     paths = enumerate_geodesics(g, x, y)
     return bool(paths) and all((eu, ev) in path_edges(p) for p in paths)
+
+
+def monitors_by_distance(g: Graph, x: int, y: int, e: tuple[int, int]) -> bool:
+    """Distance-increase check: deleting e makes y farther from x; an
+    unreachable y counts as farther (bridge case)."""
+    farther = bfs_levels(delete_edge(g, e), x).get(y, INFINITE)
+    return farther > bfs_levels(g, x)[y]
 
 
 def is_meg_by_enumeration(g: Graph, s) -> bool:
@@ -140,9 +147,7 @@ def combinations_sweep(g: Graph) -> list[frozenset[int]]:
     the solver's mask table, so it checks the search alone; the table is
     pinned to enumeration by the predicate tests.
     """
-    masks = _witness_masks(g)
-    seed = _implied_seed(masks)
-    reqs = _coverage_requirements(masks, seed)
+    seed, reqs = _requirements(_witness_masks(g))
     seeded = frozenset(v for v in range(g.n) if (seed >> v) & 1)
     free = [v for v in range(g.n) if v not in seeded]
 

@@ -18,6 +18,7 @@ from megset import (
     gen_hypercube,
     gen_multipartite,
     gen_path,
+    is_connected,
     is_dem_set,
     is_edge_geodetic_set,
     is_geodetic_set,
@@ -33,7 +34,6 @@ from megset import (
 )
 from megset import graph as graph_module
 from megset import monitoring
-from megset.monitoring import _monitors
 from megset.solver import _witness_masks
 
 import oracles
@@ -52,6 +52,26 @@ def test_pair_monitors_edge_errors():
         pair_monitors_edge(gen_path(3), 0, 2, (0, 2))
     with pytest.raises(DisconnectedGraphError):
         pair_monitors_edge(build_graph(4, [(0, 1), (2, 3)]), 0, 1, (0, 1))
+    # y is checked before x
+    for x, y, bad in ((5, 1, 5), (0, 7, 7), (5, 7, 7)):
+        with pytest.raises(GraphFormatError, match=rf"vertex {bad} outside \[0,3\)"):
+            pair_monitors_edge(gen_path(3), x, y, (0, 1))
+
+
+def test_pair_monitors_edge_runs_no_bfs_once_rows_are_built(monkeypatch):
+    g = random_connected(30, 40, 3)
+    g.geodesy((4, 17))
+    assert is_connected(g)
+    calls = []
+    for module, name in ((graph_module, "bfs_distances"), (graph_module, "_bfs_with_counts"),
+                         (monitoring, "bfs_distances")):
+        def counting(*args, fn=getattr(module, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    verdicts = {pair_monitors_edge(g, x, y, e) for e in g.edges for x, y in ((4, 17), (17, 4))}
+    assert verdicts == {False, True}
+    assert calls == []
 
 
 def test_probe_outside_graph_is_a_format_error():
@@ -114,13 +134,12 @@ def test_criterion_equivalence_three_routes():
     # enumeration oracle vs distance-increase vs count-product, all agree
     rng = random.Random(11)
     for g in oracles.random_corpus(40, 10, 11):
-        D, C = g.geodesy(range(g.n))
         for _ in range(5):
             e = g.edges[rng.randrange(g.m)]
             x, y = rng.sample(range(g.n), 2)
             by_enum = oracles.monitors_by_enumeration(g, x, y, e)
-            by_distance = pair_monitors_edge(g, x, y, e)
-            by_counts = _monitors(D, C, x, y, e[0], e[1])
+            by_distance = oracles.monitors_by_distance(g, x, y, e)
+            by_counts = pair_monitors_edge(g, x, y, e)
             assert by_enum == by_distance == by_counts
 
 
@@ -129,13 +148,12 @@ def test_geodesic_counts_beyond_64_bits():
     # both 3i+1 and 3i+2, so the ends 0 and 195 have 2**65 geodesics
     g = build_graph(196, [(3 * i, 3 * i + j) for i in range(65) for j in (1, 2)]
                     + [(3 * i + j, 3 * i + 3) for i in range(65) for j in (1, 2)])
-    D, C = g.geodesy(range(g.n))
-    assert count_shortest_paths(g, 0, 195) == C[0][195] == 2**65
+    assert count_shortest_paths(g, 0, 195) == 2**65
     verdicts = set()
     for x, y in ((0, 195), (0, 1), (1, 2), (1, 4), (2, 193), (97, 100)):
-        for u, v in g.edges:
-            got = _monitors(D, C, x, y, u, v)
-            assert got == pair_monitors_edge(g, x, y, (u, v))
+        for e in g.edges:
+            got = pair_monitors_edge(g, x, y, e)
+            assert got == oracles.monitors_by_distance(g, x, y, e)
             verdicts.add(got)
     assert verdicts == {False, True}
 
@@ -188,7 +206,8 @@ def test_is_dem_set_beyond_64_bits():
                     + [(3 * i + j, 3 * i + 3) for i in range(65) for j in (1, 2)])
 
     def by_pairs(members, e):
-        return any(pair_monitors_edge(g, x, y, e) for x in members for y in range(g.n) if y != x)
+        return any(oracles.monitors_by_distance(g, x, y, e)
+                   for x in members for y in range(g.n) if y != x)
 
     assert not is_dem_set(g, [195])
     assert not by_pairs([195], (0, 1))

@@ -24,7 +24,7 @@ from megset import (
     random_tree,
 )
 
-from megset.solver import _CoverSearch, _coverage_requirements, _implied_seed, _trim, _witness_masks
+from megset.solver import _CoverSearch, _requirements, _trim, _witness_masks
 
 import oracles
 
@@ -134,7 +134,7 @@ def test_forced_within_implied_seed():
     corpus += [gen_star(p) for p in range(1, 7)]
     corpus += [gen_cycle(n) for n in range(3, 12)]
     for g in corpus:
-        seed = _implied_seed(_witness_masks(g))
+        seed, _ = _requirements(_witness_masks(g))
         assert all(seed >> v & 1 for v in forced_vertices(g))
 
 
@@ -241,9 +241,7 @@ def test_feasibility_check_matches_subset_sweep():
     for _ in range(40):
         n = rng.randint(8, 13)
         g = random_connected(n, rng.randint(n, 2 * n), rng.randrange(10**9))
-        masks = _witness_masks(g)
-        seed = _implied_seed(masks)
-        reqs = _coverage_requirements(masks, seed)
+        seed, reqs = _requirements(_witness_masks(g))
         free = [v for v in range(n) if not seed >> v & 1]
         search = _CoverSearch(reqs, sum(1 << v for v in free))
         for _ in range(6):

@@ -69,11 +69,21 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _scopes_referring_to(name: str) -> list[str]:
+    refs = []
+    for module, tree in _package_trees():
+        visitor = _References(name)
+        visitor.visit(tree)
+        refs += [f"{module}:{scope}" for scope in visitor.found]
+    return refs
+
+
 def test_counting_bfs_runs_only_in_the_geodesy_accessor():
     # the per-source geodesy rows are the one owner of geodesic counts
-    refs = []
-    for name, tree in _package_trees():
-        visitor = _References("_bfs_with_counts")
-        visitor.visit(tree)
-        refs += [f"{name}:{scope}" for scope in visitor.found]
-    assert refs == ["graph.py:Graph.geodesy"]
+    assert _scopes_referring_to("_bfs_with_counts") == ["graph.py:Graph.geodesy"]
+
+
+def test_count_product_is_the_one_monitoring_test():
+    # a second monitoring route (say, distance increase) must not return to src
+    assert sorted(_scopes_referring_to("_monitors")) == [
+        "monitoring.py:_monitoring_pairs", "monitoring.py:pair_monitors_edge"]
