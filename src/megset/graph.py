@@ -275,27 +275,6 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in range(n) if art[v])
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the components, each sorted, ordered by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            for y in g.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    q.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on the given vertices, relabeled densely.
 

@@ -10,6 +10,8 @@ minimizing these parameters is a different problem.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import SizeCapExceededError
 from .graph import Graph, Edge
 from .monitoring import _probes
@@ -19,24 +21,23 @@ STRONG_EG_DEFAULT_CAP = 10**6
 
 def is_geodetic_set(g: Graph, s) -> bool:
     """Every vertex lies on some geodesic between two vertices of s."""
-    members, (D, _), rows = _probes(g, s)
+    members, D, _ = _probes(g, s)
     in_s = set(members)
     for v in range(g.n):
         if v in in_s:
             continue
-        if not any(D[x][v] + D[y][v] == D[x][y] for x, ys in rows for y in ys):
+        if not any(D[x][v] + D[y][v] == D[x][y] for x, y in combinations(members, 2)):
             return False
     return True
 
 
 def is_edge_geodetic_set(g: Graph, s) -> bool:
     """Every edge lies on some geodesic between two vertices of s."""
-    _, (D, _), rows = _probes(g, s)
+    members, D, _ = _probes(g, s)
     for (u, v) in g.edges:
         if not any(
             D[x][u] + 1 + D[y][v] == D[x][y] or D[x][v] + 1 + D[y][u] == D[x][y]
-            for x, ys in rows
-            for y in ys
+            for x, y in combinations(members, 2)
         ):
             return False
     return True
@@ -49,17 +50,16 @@ def is_strong_edge_geodetic_set(g: Graph, s, *, cap: int = STRONG_EG_DEFAULT_CAP
     selections is the product of per-pair geodesic counts; instances
     where it exceeds the cap raise instead of running unbounded.
     """
-    _, (D, C), rows = _probes(g, s)
+    members, D, C = _probes(g, s)
     product = 1
     pairs = []
-    for x, ys in rows:
-        for y in ys:
-            pairs.append((x, y))
-            product *= C[x][y]
-            if product > cap:
-                raise SizeCapExceededError(
-                    f"strong edge-geodetic search space exceeds cap {cap}"
-                )
+    for x, y in combinations(members, 2):
+        pairs.append((x, y))
+        product *= C[x][y]
+        if product > cap:
+            raise SizeCapExceededError(
+                f"strong edge-geodetic search space exceeds cap {cap}"
+            )
     target = set(g.edges)
     if not target:
         return True
@@ -114,6 +114,6 @@ def is_dem_set(g: Graph, s) -> bool:
     """Distance-edge-monitoring: each edge is monitored by some pair with
     one endpoint in s and the other anywhere in the graph, decided on the
     members' rows by the DEM lemma in ``monitoring``."""
-    members, (D, C), _ = _probes(g, s)
+    members, D, C = _probes(g, s)
     return all(any(D[x][u] != D[x][v] and C[x][u] == C[x][v] for x in members)
                for u, v in g.edges)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 
 from .graph import Graph, build_graph
 
@@ -54,6 +56,30 @@ def random_unicyclic(n: int, k: int, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
+class _NonTreePairs(Sequence):
+    """The pairs (u, v), u < v, that are not tree edges, in lexicographic
+    order: what rng.sample draws from, found per index in O(log n) so that
+    no list of all n^2/2 pairs is built."""
+
+    def __init__(self, n: int, tree_edges: list[tuple[int, int]]):
+        # start[u]: the index of (u, u + 1) among all pairs in lexicographic order
+        self.start = [u * (2 * n - u - 1) // 2 for u in range(n)]
+        tree = sorted(self.start[u] + v - u - 1 for u, v in map(sorted, tree_edges))
+        # free_before[k]: the non-tree pairs ahead of the k-th tree pair
+        self.free_before = [t - k for k, t in enumerate(tree)]
+        self.size = n * (n - 1) // 2 - len(tree)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        j = i + bisect_right(self.free_before, i)
+        u = bisect_right(self.start, j) - 1
+        return u, u + 1 + j - self.start[u]
+
+
 def random_connected(n: int, m: int, seed: int) -> Graph:
     """Random spanning tree plus m-(n-1) random extra edges; simple, connected."""
     if n < 1:
@@ -62,12 +88,5 @@ def random_connected(n: int, m: int, seed: int) -> Graph:
         raise ValueError(f"edge count {m} outside [{n - 1}, {n * (n - 1) // 2}]")
     rng = random.Random(seed)
     tree_edges = _random_tree_edges(n, rng)
-    have = {(min(u, v), max(u, v)) for u, v in tree_edges}
-    candidates = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in have
-    ]
-    extra = rng.sample(candidates, m - (n - 1))
+    extra = rng.sample(_NonTreePairs(n, tree_edges), m - (n - 1))
     return build_graph(n, tree_edges + extra)

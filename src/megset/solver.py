@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .errors import SizeCapExceededError
 from .graph import (
     Graph,
-    connected_components,
     induced_subgraph,
     require_connected,
     simplicial_vertices,
@@ -64,9 +63,9 @@ def _witness_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
     Every list is nonempty: in a simple graph an edge is always
     monitored by its own endpoints.
     """
-    _, (D, C), rows = _probes(g, range(g.n))
+    members, D, C = _probes(g, range(g.n))
     return tuple(
-        tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(D, C, e, rows))
+        tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(D, C, e, members))
         for e in g.edges
     )
 
@@ -173,10 +172,9 @@ def _branches(reqs: _Requirements, allowed: int, budget: int):
         ones ^= b
         allowed &= ~b
         yield _trim(reqs, b, allowed), allowed, budget - 1
-    if budget > 1:
-        for p in pairs:
-            rest = allowed & ~p
-            yield _trim(reqs, p, rest), rest, budget - 2
+    for p in pairs:  # feasible branches only at budget >= 2
+        rest = allowed & ~p
+        yield _trim(reqs, p, rest), rest, budget - 2
 
 
 class _CoverSearch:
@@ -263,11 +261,10 @@ def _layered_search(g: Graph, *, cap: int, limit: int | None):
         raise ValueError("minimum MEG-set search requires at least one edge")
     if g.n > cap:
         raise SizeCapExceededError(f"graph has {g.n} vertices, solver cap is {cap}")
-    structural = forced_vertices(g)
     seed, reqs = _requirements(_witness_masks(g))
     search = _CoverSearch(reqs, ((1 << g.n) - 1) & ~seed)
     hits = search.covers(search.minimum_size(), limit)
-    return [seed | h for h in hits], structural, search.nodes
+    return [seed | h for h in hits], search.nodes
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -276,12 +273,12 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 def minimum_meg(g: Graph, *, cap: int = DEFAULT_VERTEX_CAP) -> SolveResult:
     """Minimum-cardinality MEG-set; ties broken lexicographically smallest."""
-    hits, structural, explored = _layered_search(g, cap=cap, limit=1)
+    hits, explored = _layered_search(g, cap=cap, limit=1)
     best = _mask_to_set(hits[0])
     return SolveResult(
         meg_number=len(best),
         optimal_set=best,
-        forced=structural,
+        forced=forced_vertices(g),
         nodes_explored=explored,
     )
 
@@ -290,7 +287,7 @@ def all_minimum_megs(g: Graph, limit: int | None = None, *, cap: int = DEFAULT_V
     """All minimum MEG-sets (up to limit), in lexicographic order."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    hits, _, _ = _layered_search(g, cap=cap, limit=limit)
+    hits, _ = _layered_search(g, cap=cap, limit=limit)
     return [_mask_to_set(h) for h in hits]
 
 
@@ -303,10 +300,20 @@ def compose_via_cut_vertex(g: Graph, v: int, component_sets: list) -> frozenset[
     necessarily minimum).
     """
     require_connected(g)
-    original = [w for w in range(g.n) if w != v]
-    rest, _ = induced_subgraph(g, original)
-    # rest uses shifted labels; recover original ids for each component
-    comps = [[original[w] for w in comp] for comp in connected_components(rest)]
+    # the components of G - v by one traversal that never enters v (a v
+    # outside the graph removes nothing); comp grows while it is walked
+    seen = {v}
+    comps = []
+    for s in range(g.n):
+        if s not in seen:
+            seen.add(s)
+            comp = [s]
+            for x in comp:
+                for w in g.adj[x]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            comps.append(comp)
     if len(comps) < 2:
         raise ValueError(f"vertex {v} is not a cut vertex")
     if len(component_sets) != len(comps):

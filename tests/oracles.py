@@ -11,8 +11,9 @@ import random
 from collections import deque
 from itertools import combinations, product
 
-from megset import INFINITE, Graph, is_meg_set, random_connected
+from megset import INFINITE, Graph, build_graph, is_meg_set, random_connected
 from megset.graph import delete_edge
+from megset.randgraphs import _random_tree_edges
 from megset.solver import _requirements, _witness_masks
 
 
@@ -93,6 +94,25 @@ def is_meg_by_enumeration(g: Graph, s) -> bool:
     return True
 
 
+def is_geodetic_by_enumeration(g: Graph, s) -> bool:
+    """Every vertex lies in s or on some geodesic between two vertices of s."""
+    members = sorted(set(s))
+    covered = set(members)
+    for x, y in combinations(members, 2):
+        for p in enumerate_geodesics(g, x, y):
+            covered.update(p)
+    return covered >= set(range(g.n))
+
+
+def is_edge_geodetic_by_enumeration(g: Graph, s) -> bool:
+    """Every edge lies on some geodesic between two vertices of s."""
+    covered: set[tuple[int, int]] = set()
+    for x, y in combinations(sorted(set(s)), 2):
+        for p in enumerate_geodesics(g, x, y):
+            covered |= path_edges(p)
+    return covered >= set(g.edges)
+
+
 def is_dem_by_enumeration(g: Graph, s) -> bool:
     """Every edge is monitored by a pair of a vertex of s and any other vertex."""
     members = sorted(set(s))
@@ -118,6 +138,22 @@ def detections_by_levels(g: Graph, s, e: tuple[int, int]) -> list[tuple]:
         if new > old:
             out.append((x, y, old, new))
     return out
+
+
+def random_connected_by_list(n: int, m: int, seed: int) -> Graph:
+    """``random_connected`` as first written: the extra edges are sampled
+    from a list of every non-tree pair, in lexicographic order."""
+    rng = random.Random(seed)
+    tree_edges = _random_tree_edges(n, rng)
+    have = {(min(u, v), max(u, v)) for u, v in tree_edges}
+    candidates = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u, v) not in have
+    ]
+    extra = rng.sample(candidates, m - (n - 1))
+    return build_graph(n, tree_edges + extra)
 
 
 def all_minimum_megs_bruteforce(g: Graph) -> list[frozenset[int]]:
@@ -314,7 +350,7 @@ def base_by_stripping(g: Graph) -> tuple[frozenset[int], list[tuple[int, frozens
     if not base:
         return base, [(0, frozenset(range(g.n)))] if g.n else []
     trees = []
-    for comp in _components(g, set(range(g.n)) - base):
+    for comp in induced_components(g, set(range(g.n)) - base):
         roots = {w for v in comp for w in g.adj[v] if w in base}
         if len(roots) != 1:
             raise AssertionError(f"hanging tree {sorted(comp)} touches base at {sorted(roots)}")
@@ -322,8 +358,8 @@ def base_by_stripping(g: Graph) -> tuple[frozenset[int], list[tuple[int, frozens
     return base, sorted(trees, key=lambda rt: (rt[0], min(rt[1])))
 
 
-def _components(g: Graph, vertices: set[int]) -> list[set[int]]:
-    """Components of the subgraph induced by vertices."""
+def induced_components(g: Graph, vertices: set[int]) -> list[set[int]]:
+    """Components of the subgraph induced by vertices, by smallest vertex."""
     left = set(vertices)
     comps = []
     while left:
@@ -336,4 +372,4 @@ def _components(g: Graph, vertices: set[int]) -> list[set[int]]:
                     comp.add(w)
                     stack.append(w)
         comps.append(comp)
-    return comps
+    return sorted(comps, key=min)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from megset import (
+    Graph,
     SizeCapExceededError,
     build_graph,
     gen_complete,
@@ -102,3 +103,29 @@ def test_disconnected_rejected():
     for fn in (is_geodetic_set, is_edge_geodetic_set, is_strong_edge_geodetic_set, is_dem_set):
         with pytest.raises(DisconnectedGraphError):
             fn(g, {0, 1})
+
+
+def _probe_sets(g: Graph, rng: random.Random) -> list:
+    """All of V, a random subset, one probe, and a list with duplicates."""
+    some = rng.sample(range(g.n), rng.randint(2, g.n))
+    return [range(g.n), some, [rng.randrange(g.n)], some + some[: len(some) // 2 + 1]]
+
+
+def _geodetic_corpus() -> list[Graph]:
+    return (oracles.random_corpus(60, 9, 83)
+            + [gen_grid(a, b) for a, b in ((1, 4), (2, 3), (3, 3), (3, 4))]
+            + [gen_hypercube(3), gen_hypercube(4)])
+
+
+def test_is_geodetic_set_matches_enumeration():
+    rng = random.Random(89)
+    for g in _geodetic_corpus():
+        for s in _probe_sets(g, rng):
+            assert is_geodetic_set(g, s) == oracles.is_geodetic_by_enumeration(g, s), (g, s)
+
+
+def test_is_edge_geodetic_set_matches_enumeration():
+    rng = random.Random(97)
+    for g in _geodetic_corpus():
+        for s in _probe_sets(g, rng):
+            assert is_edge_geodetic_set(g, s) == oracles.is_edge_geodetic_by_enumeration(g, s), (g, s)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,8 @@ from megset import (
     random_unicyclic,
     unicyclic_profile,
 )
+
+import oracles
 
 
 def test_random_tree_small():
@@ -64,3 +67,28 @@ def test_generated_edge_lists_are_pinned(make, args, digest):
     # the benchmark's pinned answers identify graphs by value, so a
     # generator must keep drawing the same numbers in the same order
     assert hashlib.sha256(repr(make(*args).edges).encode()).hexdigest() == digest
+
+
+def test_random_connected_matches_list_based_generator():
+    # the extra edges come from the same rng.sample indices as when every
+    # non-tree pair was listed, so the graphs are identical
+    for n in range(1, 13):
+        top = n * (n - 1) // 2
+        for m in sorted({n - 1, min(n, top), (n - 1 + top) // 2, top}):
+            for seed in range(4):
+                want = oracles.random_connected_by_list(n, m, seed)
+                assert random_connected(n, m, seed).edges == want.edges, (n, m, seed)
+    for n, m, seed in ((40, 52, 7), (60, 300, 2), (90, 117, 5)):
+        assert random_connected(n, m, seed).edges == oracles.random_connected_by_list(n, m, seed).edges
+
+
+def test_random_connected_allocation_is_not_quadratic():
+    # listing the ~12.5 M non-tree pairs of n = 5000 peaked at over 1 GB
+    tracemalloc.start()
+    try:
+        g = random_connected(5000, 6500, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 6500 and is_connected(g)
+    assert peak < 16 * 2**20

@@ -24,6 +24,7 @@ from megset import (
     random_tree,
 )
 
+from megset.graph import induced_subgraph
 from megset.solver import _CoverSearch, _requirements, _trim, _witness_masks
 
 import oracles
@@ -193,11 +194,7 @@ def test_compose_random_block_graphs():
             edges.append((a, b))
         g = build_graph(n1 + n2 - 1, edges)
         piece_sets = []
-        rest = [w for w in range(g.n) if w != 0]
-        from megset.graph import connected_components, induced_subgraph
-
-        sub, _ = induced_subgraph(g, rest)
-        comps = [[rest[i] for i in comp] for comp in connected_components(sub)]
+        comps = oracles.induced_components(g, set(range(1, g.n)))
         if len(comps) < 2:
             continue  # vertex 0 was not a cut vertex this time
         for comp in comps:

@@ -44,38 +44,37 @@ def test_package_has_no_self_calls():
     assert offenders == []
 
 
-class _References(ast.NodeVisitor):
-    """The scopes (dotted class and function names) that mention a name."""
+class _Scopes(ast.NodeVisitor):
+    """The scopes (dotted class and function names) of the nodes that match."""
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, match):
+        self.match = match
         self.scope: list[str] = []
         self.found: list[str] = []
 
-    def _enter(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
-
-    def visit_Name(self, node):
-        if node.id == self.name:
-            self.found.append(".".join(self.scope))
-
-    def visit_Attribute(self, node):
-        if node.attr == self.name:
+    def visit(self, node):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+            return
+        if self.match(node):
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
 
 
-def _scopes_referring_to(name: str) -> list[str]:
+def _scopes_where(match) -> list[str]:
     refs = []
     for module, tree in _package_trees():
-        visitor = _References(name)
+        visitor = _Scopes(match)
         visitor.visit(tree)
         refs += [f"{module}:{scope}" for scope in visitor.found]
     return refs
+
+
+def _scopes_referring_to(name: str) -> list[str]:
+    return _scopes_where(lambda node: (isinstance(node, ast.Name) and node.id == name)
+                         or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_counting_bfs_runs_only_in_the_geodesy_accessor():
@@ -83,7 +82,13 @@ def test_counting_bfs_runs_only_in_the_geodesy_accessor():
     assert _scopes_referring_to("_bfs_with_counts") == ["graph.py:Graph.geodesy"]
 
 
+def _is_count_product(node) -> bool:
+    """A product of two table lookups, such as C[x][u] * C[y][v]."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Subscript) and isinstance(node.right, ast.Subscript))
+
+
 def test_count_product_is_the_one_monitoring_test():
-    # a second monitoring route (say, distance increase) must not return to src
-    assert sorted(_scopes_referring_to("_monitors")) == [
-        "monitoring.py:_monitoring_pairs", "monitoring.py:pair_monitors_edge"]
+    # a second monitoring route must not return to src: only the pair scan
+    # multiplies geodesic counts to decide monitoring
+    assert set(_scopes_where(_is_count_product)) == {"monitoring.py:_monitoring_pairs"}
