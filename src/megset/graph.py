@@ -274,22 +274,3 @@ def cut_vertices(g: Graph) -> frozenset[int]:
         art[0] = True
     return frozenset(v for v in range(n) if art[v])
 
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on the given vertices, relabeled densely.
-
-    Returns the subgraph and the old-id -> new-id mapping (sorted order).
-    """
-    vs = sorted(set(vertices))
-    for v in vs:
-        _check_vertex(g, v)
-    remap = {v: i for i, v in enumerate(vs)}
-    keep = set(vs)
-    edges = [(remap[u], remap[v]) for (u, v) in g.edges if u in keep and v in keep]
-    return build_graph(len(vs), edges), remap
-
-
-def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """A new Graph equal to G-e."""
-    eu, ev = normalize_edge(g, e)
-    return build_graph(g.n, [ed for ed in g.edges if ed != (eu, ev)])

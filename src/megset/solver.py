@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from .errors import SizeCapExceededError
 from .graph import (
     Graph,
-    induced_subgraph,
+    _check_vertex,
     require_connected,
     simplicial_vertices,
     twin_vertices,
 )
-from .monitoring import _monitoring_pairs, _probes, is_meg_set
+from .monitoring import _monitoring_pairs, _probes, is_meg_set, monitored_edges
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -297,11 +297,12 @@ def compose_via_cut_vertex(g: Graph, v: int, component_sets: list) -> frozenset[
     component_sets[i] must be an MEG-set of the induced subgraph on
     C_i union {v}, where C_i is the i-th component of G - v ordered by
     smallest vertex.  The union minus v is then an MEG-set of g (not
-    necessarily minimum).
+    necessarily minimum).  Each piece is checked on g itself: a piece is
+    geodesically convex, so its monitoring is monitoring in g.
     """
     require_connected(g)
-    # the components of G - v by one traversal that never enters v (a v
-    # outside the graph removes nothing); comp grows while it is walked
+    _check_vertex(g, v)
+    # the components of G - v by one traversal that never enters v
     seen = {v}
     comps = []
     for s in range(g.n):
@@ -320,12 +321,12 @@ def compose_via_cut_vertex(g: Graph, v: int, component_sets: list) -> frozenset[
         raise ValueError(f"expected {len(comps)} component sets, got {len(component_sets)}")
     union: set[int] = set()
     for comp, cset in zip(comps, component_sets):
-        piece_vertices = sorted(set(comp) | {v})
+        piece = set(comp) | {v}
         cset = set(cset)
-        if not cset <= set(piece_vertices):
+        if not cset <= piece:
             raise ValueError("component set contains vertices outside its piece")
-        piece, remap = induced_subgraph(g, piece_vertices)
-        if not is_meg_set(piece, {remap[w] for w in cset}):
+        # convex piece: a walk leaving it passes v twice, so g's rows decide it
+        if not {e for e in g.edges if piece.issuperset(e)} <= monitored_edges(g, cset):
             raise ValueError("component set is not an MEG-set of its piece")
         union |= cset
     result = frozenset(union - {v})

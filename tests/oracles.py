@@ -12,7 +12,6 @@ from collections import deque
 from itertools import combinations, product
 
 from megset import INFINITE, Graph, build_graph, is_meg_set, random_connected
-from megset.graph import delete_edge
 from megset.randgraphs import _random_tree_edges
 from megset.solver import _requirements, _witness_masks
 
@@ -73,6 +72,44 @@ def monitors_by_enumeration(g: Graph, x: int, y: int, e: tuple[int, int]) -> boo
     eu, ev = min(e), max(e)
     paths = enumerate_geodesics(g, x, y)
     return bool(paths) and all((eu, ev) in path_edges(p) for p in paths)
+
+
+def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """A new Graph equal to G-e, rebuilt from the remaining edge list."""
+    gone = (min(e), max(e))
+    return build_graph(g.n, [ed for ed in g.edges if ed != gone])
+
+
+def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on the given vertices, relabeled densely.
+
+    Returns the subgraph and the old-id -> new-id mapping (sorted order).
+    """
+    vs = sorted(set(vertices))
+    remap = {v: i for i, v in enumerate(vs)}
+    edges = [(remap[u], remap[v]) for (u, v) in g.edges if u in remap and v in remap]
+    return build_graph(len(vs), edges), remap
+
+
+def compose_by_pieces(g: Graph, v: int, component_sets: list) -> frozenset[int]:
+    """``compose_via_cut_vertex`` by its definition: each piece C_i + v is
+    rebuilt as its own graph and checked there, with the same errors in
+    the same order."""
+    comps = induced_components(g, set(range(g.n)) - {v})
+    if len(comps) < 2:
+        raise ValueError(f"vertex {v} is not a cut vertex")
+    if len(component_sets) != len(comps):
+        raise ValueError(f"expected {len(comps)} component sets, got {len(component_sets)}")
+    union: set[int] = set()
+    for comp, cset in zip(comps, component_sets):
+        cset = set(cset)
+        if not cset <= comp | {v}:
+            raise ValueError("component set contains vertices outside its piece")
+        piece, remap = induced_subgraph(g, comp | {v})
+        if not is_meg_set(piece, {remap[w] for w in cset}):
+            raise ValueError("component set is not an MEG-set of its piece")
+        union |= cset
+    return frozenset(union - {v})
 
 
 def monitors_by_distance(g: Graph, x: int, y: int, e: tuple[int, int]) -> bool:

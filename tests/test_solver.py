@@ -5,10 +5,12 @@ import pytest
 
 from megset import (
     DisconnectedGraphError,
+    GraphFormatError,
     SizeCapExceededError,
     all_minimum_megs,
     build_graph,
     compose_via_cut_vertex,
+    cut_vertices,
     forced_vertices,
     gen_complete,
     gen_cycle,
@@ -18,13 +20,14 @@ from megset import (
     gen_path,
     gen_star,
     gen_tightness_family,
+    is_connected,
     is_meg_set,
     minimum_meg,
     random_connected,
     random_tree,
 )
 
-from megset.graph import induced_subgraph
+from megset import graph as graph_module
 from megset.solver import _CoverSearch, _requirements, _trim, _witness_masks
 
 import oracles
@@ -171,39 +174,101 @@ def test_compose_path_split():
 
 def test_compose_errors():
     g = bowtie()
-    for v in (1, 5, -1):
-        with pytest.raises(ValueError, match=f"vertex {v} is not a cut vertex"):
+    with pytest.raises(ValueError, match="vertex 1 is not a cut vertex"):
+        compose_via_cut_vertex(g, 1, [{0, 1, 2}, {0, 3, 4}])
+    # a vertex outside the graph is a format error, like every vertex argument
+    for v in (5, -1):
+        with pytest.raises(GraphFormatError, match=rf"vertex {v} outside \[0,5\)"):
             compose_via_cut_vertex(g, v, [{0, 1, 2}, {0, 3, 4}])
     with pytest.raises(ValueError, match="not an MEG-set of its piece"):
         compose_via_cut_vertex(g, 0, [{0, 1}, {0, 3, 4}])
 
 
-def test_compose_random_block_graphs():
-    rng = random.Random(41)
-    for _ in range(15):
-        # two random connected pieces glued at a shared vertex
-        n1, n2 = rng.randint(2, 5), rng.randint(2, 5)
-        g1 = random_connected(n1, rng.randint(n1 - 1, n1 * (n1 - 1) // 2), rng.randrange(10**9))
-        g2 = random_connected(n2, rng.randint(n2 - 1, n2 * (n2 - 1) // 2), rng.randrange(10**9))
-        # glue vertex 0 of g2 onto vertex 0 of g1; shift the rest
-        shift = n1
-        edges = list(g1.edges)
-        for (u, v) in g2.edges:
-            a = 0 if u == 0 else u + shift - 1
-            b = 0 if v == 0 else v + shift - 1
-            edges.append((a, b))
-        g = build_graph(n1 + n2 - 1, edges)
-        piece_sets = []
-        comps = oracles.induced_components(g, set(range(1, g.n)))
-        if len(comps) < 2:
-            continue  # vertex 0 was not a cut vertex this time
-        for comp in comps:
-            piece, remap = induced_subgraph(g, sorted(set(comp) | {0}))
-            back = {i: v for v, i in remap.items()}
-            best = minimum_meg(piece).optimal_set
-            piece_sets.append({back[i] for i in best})
-        composed = compose_via_cut_vertex(g, 0, piece_sets)
-        assert is_meg_set(g, composed)
+def _random_block_graph(rng: random.Random, pieces: int):
+    """Random connected pieces of 2-5 vertices, each glued by its vertex 0
+    onto a random vertex of the graph built so far."""
+    n, edges = 1, []
+    for _ in range(pieces):
+        k = rng.randint(2, 5)
+        h = random_connected(k, rng.randint(k - 1, k * (k - 1) // 2), rng.randrange(10**9))
+        label = [rng.randrange(n)] + list(range(n, n + k - 1))
+        edges += [(label[a], label[b]) for a, b in h.edges]
+        n += k - 1
+    return build_graph(n, edges)
+
+
+def _minimum_of_piece(g, piece):
+    sub, remap = oracles.induced_subgraph(g, piece)
+    back = sorted(remap)
+    return {back[i] for i in minimum_meg(sub).optimal_set}
+
+
+def _component_sets(g, v, rng: random.Random) -> list[set[int]]:
+    """Per component of G - v a set that is a minimum MEG-set of the piece,
+    the whole piece, a random subset of it, or a subset with a vertex from
+    outside; now and then a set too many or too few."""
+    sets = []
+    for comp in oracles.induced_components(g, set(range(g.n)) - {v}):
+        piece = sorted(comp | {v})
+        r = rng.random()
+        if r < 0.4:
+            sets.append(_minimum_of_piece(g, piece))
+        elif r < 0.5:
+            sets.append(set(piece))
+        else:
+            cset = set(rng.sample(piece, rng.randint(0, len(piece))))
+            if r > 0.9 and len(piece) < g.n:
+                cset.add(rng.choice([w for w in range(g.n) if w not in comp and w != v]))
+            sets.append(cset)
+    if rng.random() < 0.06:
+        sets = sets[1:] if rng.random() < 0.5 else sets + [{v}]
+    return sets
+
+
+def _outcome(compose, g, v, sets):
+    try:
+        return compose(g, v, sets)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_compose_matches_piece_oracle_on_block_graphs():
+    # compose checks each piece on g's own rows; the oracle rebuilds the
+    # piece as a graph of its own and checks it there
+    rng = random.Random(97)
+    kinds = {"ok": 0, "MEG-set": 0, "outside": 0, "cut vertex": 0, "component sets": 0}
+    calls = 0
+    while calls < 1000:
+        g = _random_block_graph(rng, rng.randint(2, 4))
+        cuts = sorted(cut_vertices(g))
+        for _ in range(3):
+            v = rng.choice(cuts) if cuts and rng.random() < 0.8 else rng.randrange(g.n)
+            sets = _component_sets(g, v, rng)
+            expected = _outcome(oracles.compose_by_pieces, g, v, sets)
+            assert _outcome(compose_via_cut_vertex, g, v, sets) == expected
+            calls += 1
+            if isinstance(expected, frozenset):
+                assert is_meg_set(g, expected)
+                kinds["ok"] += 1
+            else:
+                kinds[next(k for k in kinds if k in expected[1])] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_compose_runs_no_bfs_on_warm_rows(monkeypatch):
+    # a 3x3 grid and a 6-cycle glued at grid corner 8
+    edges = list(gen_grid(3, 3).edges) + [(8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (8, 13)]
+    g = build_graph(14, edges)
+    sets = [_minimum_of_piece(g, range(9)), _minimum_of_piece(g, [8, 9, 10, 11, 12, 13])]
+    g.geodesy(range(g.n))
+    assert is_connected(g)
+
+    def no_bfs(*args):
+        raise AssertionError("compose ran a BFS")
+
+    monkeypatch.setattr(graph_module, "_bfs_with_counts", no_bfs)
+    monkeypatch.setattr(graph_module, "bfs_distances", no_bfs)
+    assert compose_via_cut_vertex(g, 8, sets) == frozenset(sets[0] | sets[1]) - {8}
 
 
 def test_tree_solver_equals_leaves():

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import megset
@@ -18,6 +19,18 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the runtime keeps zero dependencies: numpy, scipy or networkx belong in tests
+    imported = set()
+    for _, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
 
 
 def _calls_by_name(fn, name: str) -> bool:
