@@ -167,20 +167,27 @@ def count_shortest_paths(g: Graph, u: int, v: int) -> int:
 
 
 def _bfs_with_counts(g: Graph, source: int) -> tuple[list[float], list[int]]:
+    # count 0 means unreached; none lies deeper than d yet, so dist >= d is d
+    adj = g.adj
     dist: list[float] = [INFINITE] * g.n
     counts = [0] * g.n
     dist[source] = 0
     counts[source] = 1
-    q = deque([source])
-    while q:
-        x = q.popleft()
-        dx = dist[x] + 1
-        for y in g.adj[x]:
-            if dist[y] == INFINITE:
-                dist[y] = dx
-                q.append(y)
-            if dist[y] == dx:
-                counts[y] += counts[x]
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        found = []
+        for x in frontier:
+            cx = counts[x]
+            for y in adj[x]:
+                if not counts[y]:
+                    dist[y] = d
+                    counts[y] = cx
+                    found.append(y)
+                elif dist[y] >= d:
+                    counts[y] += cx
+        frontier = found
     return dist, counts
 
 

@@ -19,17 +19,17 @@ sigma(x,u) = sigma(x,v), that is iff the farther endpoint has the nearer
 one as its only neighbour one step closer to x (and then y can be the
 farther endpoint).  So hierarchy's DEM check reads only members' rows.
 
-_monitoring_pairs walks combinations(members, 2), so it yields the
-monitoring pairs of one edge in lexicographic order: is_meg_set and
-monitored_edges take its first pair, witness_report its first few,
-simulate_failure all pairs of the probe set, the solver's mask table
-all pairs of the graph, and pair_monitors_edge its one pair.
+_monitoring_pairs scans each member's rows against the later members,
+so it yields the monitoring pairs of one edge in lexicographic order:
+is_meg_set and monitored_edges take its first pair, witness_report its
+first few, simulate_failure all pairs of the probe set, the solver's
+mask table all pairs of the graph, and pair_monitors_edge its one pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import islice
 
 from .graph import (
     Edge,
@@ -95,20 +95,23 @@ def _monitoring_pairs(D, C, e: Edge, members):
 
     A pair monitors e = (u, v) when the geodesics through e, counted in
     the orientation that lies on some x-y geodesic, are all of them.  D
-    and C must hold the geodesy rows of every member, and the graph must
-    be connected.
+    and C must hold the geodesy rows of every member, members must slice
+    (a list, tuple or range), and the graph must be connected.
     """
     u, v = e
-    for x, y in combinations(members, 2):
-        d = D[x][y]
-        if D[x][u] + 1 + D[y][v] == d:
-            via = C[x][u] * C[y][v]
-        elif D[x][v] + 1 + D[y][u] == d:
-            via = C[x][v] * C[y][u]
-        else:
-            continue
-        if via == C[x][y]:
-            yield x, y
+    for i, x in enumerate(members):
+        Dx, Cx = D[x], C[x]
+        xu, xv = Dx[u] + 1, Dx[v] + 1
+        for y in members[i + 1:]:
+            d, Dy = Dx[y], D[y]
+            if xu + Dy[v] == d:
+                via = Cx[u] * C[y][v]
+            elif xv + Dy[u] == d:
+                via = Cx[v] * C[y][u]
+            else:
+                continue
+            if via == Cx[y]:
+                yield x, y
 
 
 def monitored_edges(g: Graph, s) -> set[Edge]:

@@ -27,6 +27,13 @@ def random_corpus(count: int, max_n: int, base_seed: int) -> list[Graph]:
     return out
 
 
+def square_chain(k: int) -> Graph:
+    """k four-cycles glued in series: vertex 3i is joined to 3i+3 through
+    both 3i+1 and 3i+2, so the ends 0 and 3k have 2**k geodesics."""
+    return build_graph(3 * k + 1, [(3 * i, 3 * i + j) for i in range(k) for j in (1, 2)]
+                       + [(3 * i + j, 3 * i + 3) for i in range(k) for j in (1, 2)])
+
+
 def bfs_levels(g: Graph, src: int) -> dict[int, int]:
     levels = {src: 0}
     q = deque([src])

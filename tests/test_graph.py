@@ -117,6 +117,26 @@ def test_count_shortest_paths_hypercube_antipodal():
     assert count_shortest_paths(q3, 0, 7) == expected
 
 
+def test_geodesy_rows_match_level_and_enumeration_oracles():
+    # every row against plain BFS levels and explicit path enumeration; in
+    # the two-component graph (7 is isolated) other parts read INFINITE/0
+    two_parts = build_graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3), (3, 5)])
+    for g in oracles.random_corpus(40, 9, 53) + [gen_grid(4, 5), gen_hypercube(4), two_parts]:
+        D, C = g.geodesy(range(g.n))
+        for x in range(g.n):
+            levels = oracles.bfs_levels(g, x)
+            for y in range(g.n):
+                assert D[x][y] == levels.get(y, INFINITE)
+                assert C[x][y] == len(oracles.enumerate_geodesics(g, x, y))
+                assert type(C[x][y]) is int
+    D, C = two_parts.geodesy((0, 7))
+    assert D[0][3] == INFINITE and C[0][3] == 0 and C[7][7] == 1
+    chain = oracles.square_chain(65)
+    D, C = chain.geodesy((0, 195))
+    assert D[0][195] == D[195][0] == 130
+    assert C[0][195] == C[195][0] == 2**65
+
+
 def test_count_shortest_paths_requires_distinct():
     with pytest.raises(ValueError):
         count_shortest_paths(gen_path(3), 1, 1)

@@ -130,6 +130,33 @@ def test_simulate_failure_examples():
     assert not simulate_failure(gen_cycle(4), {0, 1, 2}, (0, 3)).detected
 
 
+def test_monitoring_pairs_same_for_range_list_and_tuple():
+    # the scan slices its members, so every sliceable sequence of the same
+    # members gives the same pairs in the same order
+    rng = random.Random(43)
+    for g in oracles.random_corpus(30, 9, 43):
+        D, C = g.geodesy(range(g.n))
+        part = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
+        for e in g.edges:
+            pairs = list(monitoring._monitoring_pairs(D, C, e, range(g.n)))
+            assert pairs == [(x, y) for x, y in combinations(range(g.n), 2)
+                             if oracles.monitors_by_enumeration(g, x, y, e)]
+            for members in (list(range(g.n)), tuple(range(g.n))):
+                assert list(monitoring._monitoring_pairs(D, C, e, members)) == pairs
+            assert (list(monitoring._monitoring_pairs(D, C, e, part))
+                    == list(monitoring._monitoring_pairs(D, C, e, tuple(part)))
+                    == [(x, y) for x, y in pairs if x in part and y in part])
+
+
+def test_pair_monitors_edge_is_symmetric():
+    # pair_monitors_edge(g, y, x, e) with x < y scans the pair (y, x): the
+    # scan's x row is then the larger vertex's
+    for g in oracles.random_corpus(30, 9, 47):
+        for e in g.edges:
+            for x, y in combinations(range(g.n), 2):
+                assert pair_monitors_edge(g, x, y, e) == pair_monitors_edge(g, y, x, e)
+
+
 def test_criterion_equivalence_three_routes():
     # enumeration oracle vs distance-increase vs count-product, all agree
     rng = random.Random(11)
@@ -144,10 +171,8 @@ def test_criterion_equivalence_three_routes():
 
 
 def test_geodesic_counts_beyond_64_bits():
-    # 65 four-cycles glued in series: vertex 3i is joined to 3i+3 through
-    # both 3i+1 and 3i+2, so the ends 0 and 195 have 2**65 geodesics
-    g = build_graph(196, [(3 * i, 3 * i + j) for i in range(65) for j in (1, 2)]
-                    + [(3 * i + j, 3 * i + 3) for i in range(65) for j in (1, 2)])
+    # the ends 0 and 195 have 2**65 geodesics
+    g = oracles.square_chain(65)
     assert count_shortest_paths(g, 0, 195) == 2**65
     verdicts = set()
     for x, y in ((0, 195), (0, 1), (1, 2), (1, 4), (2, 193), (97, 100)):
@@ -202,8 +227,7 @@ def test_is_dem_set_matches_enumeration():
 def test_is_dem_set_beyond_64_bits():
     # the series graph of test_geodesic_counts_beyond_64_bits: from 195 the
     # counts at 0 and 1 are 2**65 and 2**64, so no pair (195, y) monitors (0, 1)
-    g = build_graph(196, [(3 * i, 3 * i + j) for i in range(65) for j in (1, 2)]
-                    + [(3 * i + j, 3 * i + 3) for i in range(65) for j in (1, 2)])
+    g = oracles.square_chain(65)
 
     def by_pairs(members, e):
         return any(oracles.monitors_by_distance(g, x, y, e)
