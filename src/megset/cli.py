@@ -295,122 +295,70 @@ def cmd_invariants(g: Graph, args):
 # JSON schemas for the ResultDocument of each subcommand (generate emits a
 # graph file, not JSON).  Field names are stable.
 
-_VERTEX_ARRAY = {"type": "array", "items": {"type": "integer", "minimum": 0}}
-_EDGE_ARRAY = {
-    "type": "array",
-    "items": {"type": "integer", "minimum": 0},
-    "minItems": 2,
-    "maxItems": 2,
-}
+_COUNT = {"type": "integer", "minimum": 0}
+_BOOLEAN = {"type": "boolean"}
+_STRING = {"type": "string"}
+_NULLABLE_INT = {"type": ["integer", "null"]}
 
 
-def _document_schema(result: dict) -> dict:
+def _array(items: dict) -> dict:
+    return {"type": "array", "items": items}
+
+
+def _closed(required: dict, optional: dict | None = None) -> dict:
+    """An object that must have the keys of `required` (listed in their
+    order), may have those of `optional`, and has no other key."""
     return {
         "type": "object",
-        "required": ["command", "input", "result", "wall_time_s"],
+        "required": list(required),
         "additionalProperties": False,
-        "properties": {
-            "command": {"type": "string"},
-            "input": {
-                "type": "object",
-                "required": ["n", "m", "fes", "leaf_count"],
-                "additionalProperties": False,
-                "properties": {
-                    "n": {"type": "integer", "minimum": 0},
-                    "m": {"type": "integer", "minimum": 0},
-                    "fes": {"type": "integer"},
-                    "leaf_count": {"type": "integer", "minimum": 0},
-                },
-            },
-            "result": result,
-            "wall_time_s": {"type": "number", "minimum": 0},
-        },
+        "properties": {**required, **(optional or {})},
     }
 
 
+_VERTEX_ARRAY = _array(_COUNT)
+_EDGE_ARRAY = {**_VERTEX_ARRAY, "minItems": 2, "maxItems": 2}
+
+
+def _document_schema(result: dict) -> dict:
+    return _closed({
+        "command": _STRING,
+        "input": _closed({"n": _COUNT, "m": _COUNT, "fes": {"type": "integer"}, "leaf_count": _COUNT}),
+        "result": result,
+        "wall_time_s": {"type": "number", "minimum": 0},
+    })
+
+
 RESULT_SCHEMAS = {
-    "verify": _document_schema({
-        "type": "object",
-        "required": ["set", "is_meg", "uncovered", "witnesses"],
-        "additionalProperties": False,
-        "properties": {
-            "set": _VERTEX_ARRAY,
-            "is_meg": {"type": "boolean"},
-            "uncovered": {"type": "array", "items": _EDGE_ARRAY},
-            "witnesses": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["edge", "pairs"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "edge": _EDGE_ARRAY,
-                        "pairs": {"type": "array", "items": _EDGE_ARRAY},
-                    },
-                },
-            },
-        },
-    }),
-    "solve": _document_schema({
-        "type": "object",
-        "required": ["meg_number", "optimal_set", "forced", "nodes_explored"],
-        "additionalProperties": False,
-        "properties": {
-            "meg_number": {"type": "integer", "minimum": 0},
+    "verify": _document_schema(_closed({
+        "set": _VERTEX_ARRAY,
+        "is_meg": _BOOLEAN,
+        "uncovered": _array(_EDGE_ARRAY),
+        "witnesses": _array(_closed({"edge": _EDGE_ARRAY, "pairs": _array(_EDGE_ARRAY)})),
+    })),
+    "solve": _document_schema(_closed(
+        {
+            "meg_number": _COUNT,
             "optimal_set": _VERTEX_ARRAY,
             "forced": _VERTEX_ARRAY,
-            "nodes_explored": {"type": "integer", "minimum": 0},
-            "all_optimal": {"type": "array", "items": _VERTEX_ARRAY},
+            "nodes_explored": _COUNT,
         },
-    }),
-    "construct": _document_schema({
-        "type": "object",
-        "required": ["method", "set", "size", "verified"],
-        "additionalProperties": False,
-        "properties": {
-            "method": {"enum": ["fes", "class"]},
-            "set": _VERTEX_ARRAY,
-            "size": {"type": "integer", "minimum": 0},
-            "verified": {"type": "boolean"},
-            "theorem": {"type": "string"},
-            "meg_number": {"type": "integer", "minimum": 0},
-            "fes": {"type": "integer", "minimum": 0},
-            "leaf_count": {"type": "integer", "minimum": 0},
-            "budget": {"type": "integer", "minimum": 0},
-        },
-    }),
-    "simulate": _document_schema({
-        "type": "object",
-        "required": ["failed_edge", "detected", "observations"],
-        "additionalProperties": False,
-        "properties": {
-            "failed_edge": _EDGE_ARRAY,
-            "detected": {"type": "boolean"},
-            "observations": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["pair", "old_distance", "new_distance"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "pair": _EDGE_ARRAY,
-                        "old_distance": {"type": ["integer", "null"]},
-                        "new_distance": {"type": ["integer", "null"]},
-                    },
-                },
-            },
-        },
-    }),
-    "invariants": _document_schema({
-        "type": "object",
-        "required": ["forced_count", "upper_bound", "meg_number"],
-        "additionalProperties": False,
-        "properties": {
-            "forced_count": {"type": "integer", "minimum": 0},
-            "upper_bound": {"type": "integer", "minimum": 0},
-            "meg_number": {"type": ["integer", "null"]},
-        },
-    }),
+        {"all_optimal": _array(_VERTEX_ARRAY)},
+    )),
+    "construct": _document_schema(_closed(
+        {"method": {"enum": ["fes", "class"]}, "set": _VERTEX_ARRAY, "size": _COUNT, "verified": _BOOLEAN},
+        {"theorem": _STRING, "meg_number": _COUNT, "fes": _COUNT, "leaf_count": _COUNT, "budget": _COUNT},
+    )),
+    "simulate": _document_schema(_closed({
+        "failed_edge": _EDGE_ARRAY,
+        "detected": _BOOLEAN,
+        "observations": _array(
+            _closed({"pair": _EDGE_ARRAY, "old_distance": _NULLABLE_INT, "new_distance": _NULLABLE_INT})
+        ),
+    })),
+    "invariants": _document_schema(
+        _closed({"forced_count": _COUNT, "upper_bound": _COUNT, "meg_number": _NULLABLE_INT})
+    ),
 }
 
 

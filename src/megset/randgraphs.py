@@ -9,7 +9,6 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_right
-from collections.abc import Sequence
 
 from .graph import Graph, build_graph
 
@@ -56,28 +55,12 @@ def random_unicyclic(n: int, k: int, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
-class _NonTreePairs(Sequence):
-    """The pairs (u, v), u < v, that are not tree edges, in lexicographic
-    order: what rng.sample draws from, found per index in O(log n) so that
-    no list of all n^2/2 pairs is built."""
-
-    def __init__(self, n: int, tree_edges: list[tuple[int, int]]):
-        # start[u]: the index of (u, u + 1) among all pairs in lexicographic order
-        self.start = [u * (2 * n - u - 1) // 2 for u in range(n)]
-        tree = sorted(self.start[u] + v - u - 1 for u, v in map(sorted, tree_edges))
-        # free_before[k]: the non-tree pairs ahead of the k-th tree pair
-        self.free_before = [t - k for k, t in enumerate(tree)]
-        self.size = n * (n - 1) // 2 - len(tree)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        j = i + bisect_right(self.free_before, i)
-        u = bisect_right(self.start, j) - 1
-        return u, u + 1 + j - self.start[u]
+def _free_pair(i: int, start: list[int], free_before: list[int]) -> tuple[int, int]:
+    """The i-th pair (u, v), u < v, that is not a tree edge, in lexicographic
+    order, found in O(log n) so that no list of all n^2/2 pairs is built."""
+    j = i + bisect_right(free_before, i)
+    u = bisect_right(start, j) - 1
+    return u, u + 1 + j - start[u]
 
 
 def random_connected(n: int, m: int, seed: int) -> Graph:
@@ -88,5 +71,11 @@ def random_connected(n: int, m: int, seed: int) -> Graph:
         raise ValueError(f"edge count {m} outside [{n - 1}, {n * (n - 1) // 2}]")
     rng = random.Random(seed)
     tree_edges = _random_tree_edges(n, rng)
-    extra = rng.sample(_NonTreePairs(n, tree_edges), m - (n - 1))
+    # start[u]: the index of (u, u + 1) among all pairs in lexicographic order
+    start = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    tree = sorted(start[u] + v - u - 1 for u, v in map(sorted, tree_edges))
+    # free_before[k]: the non-tree pairs ahead of the k-th tree pair
+    free_before = [t - k for k, t in enumerate(tree)]
+    picks = rng.sample(range(n * (n - 1) // 2 - len(tree)), m - (n - 1))
+    extra = [_free_pair(i, start, free_before) for i in picks]
     return build_graph(n, tree_edges + extra)

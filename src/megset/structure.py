@@ -228,7 +228,7 @@ def max_leaf_number(g: Graph, *, cap: int = MLN_VERTEX_CAP) -> int:
         for cand in combinations(range(g.n), size):
             if _connected_dominating(g, cand):
                 return g.n - size
-    raise AssertionError("a connected graph always has a connected dominating set")
+    raise RuntimeError("a connected graph always has a connected dominating set")
 
 
 def _connected_dominating(g: Graph, cand: tuple[int, ...]) -> bool:

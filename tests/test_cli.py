@@ -1,13 +1,18 @@
 import contextlib
+import copy
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import megset
 from megset import build_graph, gen_complete, gen_cycle, gen_grid, is_connected, minimum_meg
 from megset.cli import RESULT_SCHEMAS, format_graph_text, main, parse_graph_text
 
@@ -29,6 +34,12 @@ def write_graph(tmp_path, g, name="g.txt"):
     path = tmp_path / name
     path.write_text(format_graph_text(g))
     return str(path)
+
+
+def assert_input_error(capsys, argv, message):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and message in err, (argv, err)
 
 
 def test_parse_round_trip():
@@ -200,8 +211,9 @@ def test_simulate_undetected_exit_one(tmp_path, capsys):
 
 def test_simulate_missing_edge_exit_two(tmp_path, capsys):
     path = write_graph(tmp_path, gen_cycle(4))
-    code, _ = run_cli(capsys, "simulate", path, "--set", "0,1", "--fail-edge", "0,2")
-    assert code == 2
+    # a non-edge, and edges that do not parse
+    for edge, message in (("0,2", "not an edge"), ("0", "bad edge"), ("a-b", "bad edge")):
+        assert_input_error(capsys, ("simulate", path, "--set", "0,1", "--fail-edge", edge), message)
 
 
 def test_generate_round_trip(capsys):
@@ -235,6 +247,7 @@ def test_generate_bad_params_exit_two(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "generate", "grid", "3")
     assert code == 2
+    assert_input_error(capsys, ("generate", "multipartite", "3"), "at least 2 part sizes")
 
 
 def test_invariants_tree(tmp_path, capsys):
@@ -307,11 +320,16 @@ def test_header_too_large_rejected_before_building(tmp_path, capsys, monkeypatch
 def test_parse_garbage_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3 zebra\n")
-    code, _ = run_cli(capsys, "solve", str(path))
-    assert code == 2
-    # a probe outside the graph is an input error too
-    code, _ = run_cli(capsys, "verify", write_graph(tmp_path, gen_cycle(5)), "--set", "0,99")
-    assert code == 2
+    c5 = write_graph(tmp_path, gen_cycle(5))
+    for argv, message in (
+        (("solve", str(path)), "bad header"),
+        (("solve", str(tmp_path / "missing.txt")), "cannot read"),
+        # bad arguments on a valid graph are input errors too
+        (("verify", c5, "--set", "0,99"), "outside"),
+        (("verify", c5, "--set", "0,x"), "bad vertex list"),
+        (("verify", c5, "--set", "0,1,3", "--max-witnesses", "0"), "must be positive"),
+    ):
+        assert_input_error(capsys, argv, message)
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -326,3 +344,64 @@ def test_quiet_headlines(tmp_path, capsys):
     assert out.strip() == "4"
     code, out = run_cli(capsys, "verify", path, "--set", "0,1,2,3", "--quiet")
     assert out.strip() == "true"
+
+
+def test_generate_pipes_into_solve():
+    # the module entry point, reading the graph from stdin
+    path = [str(Path(megset.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def cli(*argv, stdin=None):
+        run = subprocess.run([sys.executable, "-m", "megset.cli", *argv], input=stdin,
+                             env=env, capture_output=True, text=True)
+        return run.returncode, run.stdout
+
+    code, graph = cli("generate", "grid", "3", "4")
+    assert code == 0
+    assert cli("solve", "-", "--quiet", stdin=graph) == (0, "10\n")
+
+
+def json_objects(value):
+    """Every dict in a JSON value, outermost first."""
+    if isinstance(value, dict):
+        yield value
+        for item in value.values():
+            yield from json_objects(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from json_objects(item)
+
+
+def test_result_schemas_are_closed():
+    objects = [
+        node
+        for schema in RESULT_SCHEMAS.values()
+        for node in json_objects(schema)
+        if node.get("type") == "object"
+    ]
+    assert len(objects) == 5 * 3 + 2  # document, input and result, plus two item objects
+    for node in objects:
+        assert node["additionalProperties"] is False
+        assert set(node["required"]) <= set(node["properties"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "c4", "--set", "0,1,2"),
+    ("solve", "c4", "--all"),
+    ("construct", "c4", "--method", "class"),
+    ("construct", "c4", "--method", "fes"),
+    ("simulate", "p3", "--set", "0,2", "--fail-edge", "0-1"),
+    ("invariants", "c4"),
+])
+def test_unknown_key_fails_validation_at_every_level(tmp_path, capsys, argv):
+    graphs = {"c4": gen_cycle(4), "p3": parse_graph_text("3 2\n0 1\n1 2\n")}
+    command, graph, *rest = argv
+    _, doc = run_json(capsys, command, write_graph(tmp_path, graphs[graph]), *rest)
+    levels = len(list(json_objects(doc)))
+    # the document, its input and result blocks, and any witness or observation
+    assert levels >= 3 + (command in ("verify", "simulate"))
+    for i in range(levels):
+        bad = copy.deepcopy(doc)
+        list(json_objects(bad))[i]["unexpected"] = 0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, RESULT_SCHEMAS[command])

@@ -40,6 +40,8 @@ def test_is_strong_edge_geodetic_examples():
     assert is_strong_edge_geodetic_set(gen_cycle(6), {0, 2, 4})
     assert is_strong_edge_geodetic_set(gen_path(4), {0, 3})
     assert not is_strong_edge_geodetic_set(gen_cycle(4), {0, 2})
+    # no edge, so nothing to cover
+    assert is_strong_edge_geodetic_set(build_graph(1, []), [0])
 
 
 def test_strong_edge_geodetic_deep_inputs():

@@ -10,13 +10,20 @@ def _package_trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_assert_statements():
-    # python -O strips assert statements, so an invariant must raise instead
+    # python -O strips assert statements, so an invariant must raise instead,
+    # and it raises RuntimeError, the one kind of broken-invariant error
     offenders = [
         f"{name}:{node.lineno}"
         for name, tree in _package_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise) and _raises_assertion_error(node)
     ]
     assert offenders == []
 

@@ -151,6 +151,9 @@ def test_fes_construction_tree_is_exactly_leaves():
     leaves = frozenset(v for v in range(9) if t.degree(v) == 1)
     assert built.meg_set == leaves
     assert built.k == 0 and built.budget == len(leaves)
+    # the one-vertex tree has no edge to monitor
+    with pytest.raises(ValueError):
+        fes_meg_construction(build_graph(1, []))
 
 
 def test_fes_construction_single_cycle_with_tail():
