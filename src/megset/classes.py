@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import UnrecognizedClassError
 from .graph import Graph, build_graph, is_connected
-from .structure import core_decomposition, leaf_set
+from .structure import core_decomposition, cycle_probes, leaf_set
 
 TREE = "TREE"
 CYCLE = "CYCLE"
@@ -139,9 +139,8 @@ def meg_cycle(n: int) -> ClassResult:
     """Cycles: 3 spread vertices suffice, except C4 needs all 4."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    if n == 4:
-        return ClassResult(4, frozenset(range(4)), CYCLE)
-    return ClassResult(3, frozenset({0, n // 3, 2 * n // 3}), CYCLE)
+    witness = frozenset(cycle_probes((*range(n), 0)))
+    return ClassResult(len(witness), witness, CYCLE)
 
 
 def unicyclic_profile(g: Graph) -> UnicyclicProfile:
@@ -201,17 +200,16 @@ def meg_unicyclic(g: Graph) -> ClassResult:
     consecutive probes (with leaves standing in for the attachment
     vertices) a unique geodesic, and a sparser set leaves some stretch
     with an equally short route the other way around, hence unmonitored.
-    Pure cycles take meg_cycle's construction along the cycle.
+    Pure cycles take the cycle construction, `cycle_probes`, along the cycle.
     """
     prof = unicyclic_profile(g)
-    k = prof.k
     order = prof.cycle_order
     core = prof.core_on_cycle
     leaves = leaf_set(g)
     if not core:
-        base = meg_cycle(k)
-        return ClassResult(base.meg_number, frozenset(order[i] for i in base.witness), UNICYCLIC)
-    span = _unique_span(k)
+        witness = frozenset(cycle_probes((*order, order[0])))
+        return ClassResult(len(witness), witness, UNICYCLIC)
+    span = _unique_span(prof.k)
     wit = set(leaves)
     extra = 0
     for arc in _arcs(order, core):

@@ -238,7 +238,7 @@ def twin_vertices(g: Graph) -> frozenset[int]:
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
-    """All articulation vertices, by iterative lowlink DFS.
+    """All articulation vertices, by lowlink over an iterative DFS.
 
     Requires a connected graph.
     """
@@ -246,38 +246,47 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     n = g.n
     if n <= 2:
         return frozenset()
+    # pass 1: preorder DFS from 0; the (vertex, parent) entry that first
+    # reaches a vertex is kept, so it names the vertex's tree parent
     disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    art = [False] * n
-    timer = 0
-    # iterative DFS: stack of (vertex, neighbor iterator index)
-    stack = [(0, 0)]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
+    order = []
+    stack = [(0, -1)]
     while stack:
-        v, i = stack[-1]
-        if i < len(g.adj[v]):
-            stack[-1] = (v, i + 1)
-            w = g.adj[v][i]
-            if disc[w] < 0:
-                parent[w] = v
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((w, 0))
-            elif w != parent[v]:
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            p = parent[v]
-            if p >= 0:
-                low[p] = min(low[p], low[v])
-                if p != 0 and low[v] >= disc[p]:
-                    art[p] = True
-    if root_children > 1:
-        art[0] = True
-    return frozenset(v for v in range(n) if art[v])
+        v, p = stack.pop()
+        if disc[v] < 0:
+            disc[v] = len(order)
+            order.append((v, p))
+            stack.extend((w, v) for w in g.adj[v] if disc[w] < 0)
+    # pass 2: descendants follow a vertex in preorder, so walking it backwards
+    # hands each low point up before the parent's turn; the tree edge to the
+    # parent only lowers low[v] to disc[p], which the test still allows
+    low = disc[:]
+    cuts = set()
+    for v, p in reversed(order[1:]):
+        low[v] = min(low[v], min(disc[w] for w in g.adj[v]))
+        low[p] = min(low[p], low[v])
+        if p != 0 and low[v] >= disc[p]:
+            cuts.add(p)
+    # the root is a cut vertex iff it has at least two tree children
+    if sum(p == 0 for _, p in order) > 1:
+        cuts.add(0)
+    return frozenset(cuts)
 
+
+def _components(g: Graph, vertices: Iterable[int]) -> list[list[int]]:
+    """Components of the subgraph induced by ``vertices``, each in visiting
+    order from its first vertex, in the order of those first vertices."""
+    order = list(vertices)
+    left = set(order)
+    comps = []
+    for s in order:
+        if s in left:
+            left.remove(s)
+            comp = [s]
+            for x in comp:
+                for w in g.adj[x]:
+                    if w in left:
+                        left.remove(w)
+                        comp.append(w)
+            comps.append(comp)
+    return comps

@@ -25,6 +25,7 @@ from .errors import SizeCapExceededError
 from .graph import (
     Graph,
     _check_vertex,
+    _components,
     require_connected,
     simplicial_vertices,
     twin_vertices,
@@ -302,19 +303,7 @@ def compose_via_cut_vertex(g: Graph, v: int, component_sets: list) -> frozenset[
     """
     require_connected(g)
     _check_vertex(g, v)
-    # the components of G - v by one traversal that never enters v
-    seen = {v}
-    comps = []
-    for s in range(g.n):
-        if s not in seen:
-            seen.add(s)
-            comp = [s]
-            for x in comp:
-                for w in g.adj[x]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-            comps.append(comp)
+    comps = _components(g, (w for w in range(g.n) if w != v))
     if len(comps) < 2:
         raise ValueError(f"vertex {v} is not a cut vertex")
     if len(component_sets) != len(comps):

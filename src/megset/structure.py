@@ -10,11 +10,11 @@ base decomposes into core vertices (degree >= 3), proper core paths
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SizeCapExceededError
-from .graph import Graph, build_graph, require_connected
+from .graph import Graph, _components, build_graph, require_connected
 from .monitoring import is_meg_set
 
 MLN_VERTEX_CAP = 12
@@ -58,70 +58,37 @@ def leaf_set(g: Graph) -> frozenset[int]:
 
 
 def base_graph(g: Graph) -> CoreDecomposition:
-    """Strip degree-1 vertices to the 2-core and collect the hanging trees.
+    """Strip degree-1 vertices to the 2-core and decompose what remains.
 
-    A tree strips away entirely: the base is empty and the whole graph
-    is one hanging tree rooted (by convention) at its smallest vertex.
+    The hanging trees are the components of G - base, each rooted at its
+    one base neighbor.  A tree strips away entirely: the base and the
+    core fields are empty and the whole graph is one hanging tree rooted
+    (by convention) at vertex 0.  With one cycle the base is that cycle,
+    with no core vertex; it is reported as one core cycle anchored at its
+    smallest vertex.
     """
     require_connected(g)
     deg = [g.degree(v) for v in range(g.n)]
     stack = [v for v in range(g.n) if deg[v] == 1]
-    stripped = []
-    up = [-1] * g.n  # the neighbor still present when a vertex was stripped
     while stack:
         v = stack.pop()
         deg[v] = 0
-        stripped.append(v)
         for w in g.adj[v]:
             if deg[w] > 0:
-                up[v] = w
                 deg[w] -= 1
                 if deg[w] == 1:
                     stack.append(w)
     base_vertices = frozenset(v for v in range(g.n) if deg[v] >= 2)
-    base_edges = [(u, v) for (u, v) in g.edges if u in base_vertices and v in base_vertices]
-    hanging: list[tuple[int, frozenset[int]]] = []
-    if not base_vertices:
-        if g.n:
-            hanging.append((0, frozenset(range(g.n))))
-    else:
-        # a vertex's recorded neighbor goes later, so walking the strip order
-        # backwards meets it first; the top vertex of a tree hangs on the base
-        top = list(range(g.n))
-        trees: dict[int, list[int]] = {}
-        for v in reversed(stripped):
-            if up[v] < 0:
-                raise RuntimeError("every stripped vertex must hang on a neighbor that outlasts it")
-            if up[v] not in base_vertices:
-                top[v] = top[up[v]]
-            trees.setdefault(top[v], []).append(v)
-        hanging = sorted(((up[t], frozenset(tree)) for t, tree in trees.items()),
-                         key=lambda rt: (rt[0], min(rt[1])))
-    return CoreDecomposition(
-        base=build_graph(g.n, base_edges),
-        base_vertices=base_vertices,
-        hanging_trees=hanging,
-        core_vertices=frozenset(),
-        proper_core_paths=[],
-        core_cycles=[],
-    )
-
-
-def core_decomposition(g: Graph) -> CoreDecomposition:
-    """Full decomposition of the base into core vertices, paths and cycles.
-
-    Needs at least one cycle (fes >= 1).  With fes = 1 the base is a
-    single cycle with no core vertex; it is reported as one core cycle
-    anchored at its smallest vertex.
-    """
-    k = feedback_edge_number(g)
-    if k < 1:
-        raise ValueError("core decomposition needs feedback edge number >= 1")
-    dec = base_graph(g)
-    base = dec.base
-    core = frozenset(v for v in dec.base_vertices if base.degree(v) >= 3)
-    # walks run between stops; with fes = 1 the only stop is the cycle's smallest vertex
-    stops = core or frozenset({min(dec.base_vertices)})
+    base = build_graph(g.n, [(u, v) for (u, v) in g.edges if deg[u] >= 2 and deg[v] >= 2])
+    hanging = []
+    for tree in _components(g, (v for v in range(g.n) if deg[v] < 2)):
+        # without a base the one tree is the whole graph, rooted at 0
+        root = next((w for x in tree for w in g.adj[x] if deg[w] >= 2), 0)
+        hanging.append((root, frozenset(tree)))
+    hanging.sort(key=lambda rt: rt[0])
+    core = frozenset(v for v in base_vertices if deg[v] >= 3)
+    # walks run between stops; a lone cycle's only stop is its smallest vertex
+    stops = core or frozenset(sorted(base_vertices)[:1])
     paths: list[tuple[int, ...]] = []
     cycles: list[tuple[int, ...]] = []
     used: set[tuple[int, int]] = set()
@@ -130,44 +97,51 @@ def core_decomposition(g: Graph) -> CoreDecomposition:
             if ((c, w) if c < w else (w, c)) in used:
                 continue
             walk = [c, w]
-            while True:
-                prev, cur = walk[-2], walk[-1]
-                used.add((prev, cur) if prev < cur else (cur, prev))
-                if cur in stops:
-                    break
-                walk.append(next(x for x in base.adj[cur] if x != prev))
+            while walk[-1] not in stops:
+                walk.append(next(x for x in base.adj[walk[-1]] if x != walk[-2]))
+            used.update((a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:]))
             (cycles if walk[-1] == c else paths).append(tuple(walk))
     if len(used) != base.m:
         raise RuntimeError("every base edge must lie on exactly one core path or cycle")
-    return replace(dec, core_vertices=core, proper_core_paths=paths, core_cycles=cycles)
+    return CoreDecomposition(
+        base=base,
+        base_vertices=base_vertices,
+        hanging_trees=hanging,
+        core_vertices=core,
+        proper_core_paths=paths,
+        core_cycles=cycles,
+    )
 
 
-def _path_medians(path: tuple[int, ...]) -> list[int]:
+def core_decomposition(g: Graph) -> CoreDecomposition:
+    """``base_graph`` of a graph with at least one cycle (fes >= 1)."""
+    if feedback_edge_number(g) < 1:
+        raise ValueError("core decomposition needs feedback edge number >= 1")
+    return base_graph(g)
+
+
+def _path_medians(path: tuple[int, ...]) -> set[int]:
     """Central vertex (even edge count) or both central vertices (odd)."""
-    length = len(path) - 1
-    if length < 2:
-        return []
-    if length % 2 == 0:
-        return [path[length // 2]]
-    return [path[(length - 1) // 2], path[(length + 1) // 2]]
+    return {path[(len(path) - 1) // 2], path[len(path) // 2]}
 
 
-def _cycle_picks(walk: tuple[int, ...]) -> list[int]:
-    """Spread internal vertices of a core cycle, as in the cycle construction.
+def cycle_probes(walk: tuple[int, ...]) -> list[int]:
+    """Probes that monitor a cycle given as a closed walk (first == last).
 
-    Two vertices at one-third offsets from the anchor suffice except on
-    a 4-cycle, which needs all three internal vertices.
+    The walk's anchor and the vertices a third and two thirds of the way
+    round suffice, except on a 4-cycle, which needs all four vertices.
     """
     length = len(walk) - 1
     if length == 4:
-        return [walk[1], walk[2], walk[3]]
-    return [walk[length // 3], walk[2 * length // 3]]
+        return list(walk[:4])
+    return [walk[0], walk[length // 3], walk[2 * length // 3]]
 
 
 def fes_meg_construction(g: Graph) -> FesConstruction:
     """MEG-set of size at most 9*fes + leaves - 8 (fes >= 2), built from the
-    core decomposition; trees use their leaves and a single cycle uses the
-    three-vertex cycle construction on its base.
+    core decomposition: the leaves, the core vertices, the medians of each
+    core path and the `cycle_probes` of each core cycle.  A tree takes its
+    leaves alone.
 
     The result is verified; a failure would falsify the underlying bound
     and raises instead of returning.
@@ -176,17 +150,12 @@ def fes_meg_construction(g: Graph) -> FesConstruction:
     if g.m == 0:
         raise ValueError("construction needs at least one edge")
     leaves = leaf_set(g)
-    chosen: set[int] = set(leaves)
-    if k >= 1:
-        dec = core_decomposition(g)
-        chosen |= dec.core_vertices
-        for path in dec.proper_core_paths:
-            chosen.update(_path_medians(path))
-        for walk in dec.core_cycles:
-            chosen.update(_cycle_picks(walk))
-        if k == 1:
-            # a lone cycle has no core vertex, so its anchor is probed too
-            chosen.add(dec.core_cycles[0][0])
+    dec = base_graph(g)
+    chosen = set(leaves) | dec.core_vertices
+    for path in dec.proper_core_paths:
+        chosen.update(_path_medians(path))
+    for walk in dec.core_cycles:
+        chosen.update(cycle_probes(walk))
     budget = fes_budget(k, len(leaves))
     meg = frozenset(chosen)
     if len(meg) > budget:
@@ -220,7 +189,7 @@ def max_leaf_number(g: Graph, *, cap: int = MLN_VERTEX_CAP) -> int:
     require_connected(g)
     if g.n > cap:
         raise SizeCapExceededError(f"max leaf number cap is {cap} vertices, got {g.n}")
-    if g.n == 1:
+    if g.n <= 1:
         return 0
     if g.n == 2:
         return 2

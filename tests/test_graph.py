@@ -228,10 +228,13 @@ def test_cut_vertices_rejects_disconnected():
 
 def test_cut_vertices_matches_component_count_oracle():
     rng = random.Random(7)
-    for _ in range(30):
-        n = rng.randint(3, 9)
-        m = rng.randint(n - 1, n * (n - 1) // 2)
-        g = random_connected(n, m, rng.randrange(10**6))
+    corpus = [build_graph(0, []), gen_path(1), gen_path(2)]
+    for _ in range(200):
+        n = rng.randint(3, 14)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+        corpus.append(random_connected(n, m, rng.randrange(10**6)))
+    for g in corpus:
+        n = g.n
         expected = set()
         for v in range(n):
             rest = [e for e in g.edges if v not in e]
@@ -241,6 +244,22 @@ def test_cut_vertices_matches_component_count_oracle():
             if not is_connected(h):
                 expected.add(v)
         assert cut_vertices(g) == expected
+
+
+def test_components_match_induced_components_oracle():
+    rng = random.Random(41)
+    for g in oracles.random_corpus(40, 12, 43) + [build_graph(0, []), gen_path(1)]:
+        everything = set(range(g.n))
+        subsets = [set(), everything] + ([{rng.randrange(g.n)}] if g.n else [])
+        subsets += [everything - {v} for v in range(g.n)]
+        subsets += [set(rng.sample(range(g.n), rng.randint(0, g.n))) for _ in range(5)]
+        for vertices in subsets:
+            comps = graph_module._components(g, sorted(vertices))
+            assert [set(c) for c in comps] == oracles.induced_components(g, vertices)
+            assert sum(map(len, comps)) == len(vertices)
+            for comp in comps:
+                # visiting order: each vertex after the first joins a neighbor seen before it
+                assert all(set(g.adj[w]) & set(comp[:i]) for i, w in enumerate(comp) if i)
 
 
 @given(st.integers(0, 10**6))

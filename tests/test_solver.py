@@ -121,6 +121,20 @@ def test_forced_subset_of_every_minimum():
             assert forced <= s
 
 
+def test_no_minimum_meg_set_contains_a_cut_vertex():
+    # every leaf block holds a non-cut probe, which activates the cut vertices
+    rng = random.Random(61)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(3, 10)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, n + 3))
+        g = random_connected(n, m, rng.randrange(10**9))
+        cuts = cut_vertices(g)
+        if cuts:
+            assert all(not (s & cuts) for s in oracles.all_minimum_megs_bruteforce(g))
+            checked += 1
+
+
 def test_forced_within_implied_seed():
     # simplicial vertices and twins lie in every monitoring pair of one of
     # their own edges, so the mask table's seed needs no structural input

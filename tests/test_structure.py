@@ -15,6 +15,7 @@ from megset import (
     gen_tightness_family,
     is_meg_set,
     max_leaf_number,
+    meg_cycle,
     minimum_meg,
     random_connected,
     random_tree,
@@ -121,6 +122,11 @@ def test_base_graph_matches_stripping_oracle():
         assert dec.base_vertices == base
         assert dec.base.edges == tuple(e for e in g.edges if base.issuperset(e))
         assert dec.hanging_trees == trees
+        if feedback_edge_number(g) >= 1:
+            assert dec == core_decomposition(g)
+        else:
+            assert dec.core_vertices == frozenset()
+            assert dec.proper_core_paths == dec.core_cycles == []
 
 
 def test_core_decomposition_partitions_the_base():
@@ -164,6 +170,12 @@ def test_fes_construction_single_cycle_with_tail():
     assert is_meg_set(g, built.meg_set)
 
 
+def test_fes_construction_lone_cycle_is_the_cycle_result():
+    # a lone cycle's anchor is no core vertex; cycle_probes still takes it
+    for n in range(3, 13):
+        assert fes_meg_construction(gen_cycle(n)).meg_set == meg_cycle(n).witness
+
+
 def test_fes_construction_theta():
     built = fes_meg_construction(theta())
     assert built.k == 2 and built.budget == 10
@@ -189,6 +201,9 @@ def test_fes_construction_random_graphs():
 
 
 def test_max_leaf_number_examples():
+    # the null graph counts as connected and has no spanning-tree leaf
+    assert max_leaf_number(build_graph(0, [])) == 0
+    assert max_leaf_number(gen_path(1)) == 0
     assert max_leaf_number(gen_cycle(5)) == 2
     assert max_leaf_number(gen_complete(4)) == 3
     assert max_leaf_number(gen_path(6)) == 2
