@@ -8,10 +8,10 @@ integers.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable
 
 from .errors import DisconnectedGraphError, GraphFormatError
@@ -238,39 +238,47 @@ def twin_vertices(g: Graph) -> frozenset[int]:
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
-    """All articulation vertices, by lowlink over an iterative DFS.
-
-    Requires a connected graph.
-    """
+    """The articulation vertices: those of two or more blocks.  Requires a
+    connected graph."""
     require_connected(g)
-    n = g.n
-    if n <= 2:
-        return frozenset()
-    # pass 1: preorder DFS from 0; the (vertex, parent) entry that first
-    # reaches a vertex is kept, so it names the vertex's tree parent
-    disc = [-1] * n
-    order = []
-    stack = [(0, -1)]
-    while stack:
-        v, p = stack.pop()
-        if disc[v] < 0:
-            disc[v] = len(order)
-            order.append((v, p))
-            stack.extend((w, v) for w in g.adj[v] if disc[w] < 0)
-    # pass 2: descendants follow a vertex in preorder, so walking it backwards
-    # hands each low point up before the parent's turn; the tree edge to the
-    # parent only lowers low[v] to disc[p], which the test still allows
-    low = disc[:]
-    cuts = set()
-    for v, p in reversed(order[1:]):
-        low[v] = min(low[v], min(disc[w] for w in g.adj[v]))
-        low[p] = min(low[p], low[v])
-        if p != 0 and low[v] >= disc[p]:
-            cuts.add(p)
-    # the root is a cut vertex iff it has at least two tree children
-    if sum(p == 0 for _, p in order) > 1:
-        cuts.add(0)
-    return frozenset(cuts)
+    shared = Counter(v for block, _ in _blocks(g) for v in block)
+    return frozenset(v for v, k in shared.items() if k > 1)
+
+
+def _blocks(g: Graph) -> list[tuple[list[int], list[Edge]]]:
+    """The blocks (biconnected components) of a connected graph as (sorted
+    vertices, sorted edges), in vertex-list order, by Hopcroft-Tarjan
+    lowlink over an iterative DFS with an edge stack: when nothing below w
+    reaches above w's tree parent p, the edges stacked since the tree edge
+    (p, w) form a block."""
+    disc = [0] + [-1] * (g.n - 1)
+    low = [0] * g.n
+    clock = count(1)
+    stacked: list[Edge] = []
+    blocks = []
+    # vertex, tree parent, neighbours left to scan, edge-stack height at its tree edge
+    frames = [(0, -1, iter(g.adj[0]), 0)] if g.n else []
+    while frames:
+        v, p, rest, base = frames[-1]
+        for w in rest:
+            if disc[w] < 0:
+                disc[w] = low[w] = next(clock)
+                frames.append((w, v, iter(g.adj[w]), len(stacked)))
+                stacked.append((v, w))
+                break
+            if w != p and disc[w] < disc[v]:  # a back edge, stacked from its lower end only
+                stacked.append((w, v))
+                low[v] = min(low[v], disc[w])
+        else:
+            frames.pop()
+            if p >= 0:
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    edges = sorted((a, b) if a < b else (b, a) for a, b in stacked[base:])
+                    del stacked[base:]
+                    blocks.append((sorted({x for e in edges for x in e}), edges))
+    blocks.sort()
+    return blocks
 
 
 def _components(g: Graph, vertices: Iterable[int]) -> list[list[int]]:

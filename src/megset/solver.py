@@ -1,17 +1,25 @@
 """Exact minimum MEG-set search.
 
-The search seeds with the vertices that provably belong to every MEG-set
-(any vertex appearing in every monitoring pair of some edge, which
-includes all simplicial vertices and twins).  Every edge the seed leaves
-uncovered is a coverage requirement: the free vertices that would cover
-it, alone or in pairs.  A branch-and-bound feasibility check asks
-whether at most r allowed free vertices meet every requirement; it
-branches on the requirement with the fewest options, one-vertex options
-first, and prunes with a packing bound.  The optimum size k is the
-smallest r whose check succeeds.  A lexicographic pass then takes the
-free vertices in increasing order and keeps each one only if a check
-over the vertices after it can still complete a cover of size k, so the
-result is the lexicographically smallest minimum and
+The table of monitoring pairs is built per block (biconnected
+component): a block is geodesically convex and an outside vertex enters
+it through one cut vertex, so an outside pair monitors an edge of the
+block exactly when its two entry points do.  Every leaf block must hold
+a non-cut probe, which stands in for its cut vertex, so no minimum
+MEG-set holds a cut vertex, and a set T of non-cut vertices is an
+MEG-set exactly when T and the cut vertices cover every edge by pairs
+of its block.  So the cut vertices are seeded and dropped from every
+result, and a block of cut vertices alone gets no table.  The seed also
+takes every vertex common to the tabled monitoring pairs of some edge,
+which includes all simplicial vertices and twins.  Every edge the seed
+leaves uncovered is a coverage requirement: the free vertices that
+would cover it, alone or in pairs.  A branch-and-bound feasibility
+check asks whether at most r allowed free vertices meet every
+requirement; it branches on the requirement with the fewest options,
+one-vertex options first, and prunes with a packing bound.  The optimum
+size k is the smallest r whose check succeeds.  A lexicographic pass
+then takes the free vertices in increasing order and keeps each one
+only if a check over the vertices after it can still complete a cover
+of size k, so the result is the lexicographically smallest minimum and
 ``all_minimum_megs`` lists the minimums in lexicographic order:
 deterministic and independent of the pruning.  Both searches keep
 explicit stacks, so no input runs into the recursion limit.
@@ -24,13 +32,15 @@ from dataclasses import dataclass
 from .errors import SizeCapExceededError
 from .graph import (
     Graph,
+    _blocks,
     _check_vertex,
     _components,
+    cut_vertices,
     require_connected,
     simplicial_vertices,
     twin_vertices,
 )
-from .monitoring import _monitoring_pairs, _probes, is_meg_set, monitored_edges
+from .monitoring import _monitoring_pairs, is_meg_set, monitored_edges
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -58,25 +68,26 @@ def forced_vertices(g: Graph) -> frozenset[int]:
     return simplicial_vertices(g) | twin_vertices(g)
 
 
-def _witness_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Per edge, the bitmasks of all pairs that monitor it.
+def _witness_masks(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The bitmask of the cut vertices, and per edge of each block with a
+    non-cut vertex the bitmasks of the block's pairs that monitor it.
+    Every list is nonempty: an edge's own endpoints monitor it."""
+    cuts = cut_vertices(g)
+    table = []
+    for block, edges in _blocks(g):
+        if not cuts.issuperset(block):
+            D, C = g.geodesy(block)
+            table += (tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(D, C, e, block))
+                      for e in edges)
+    return sum(1 << v for v in cuts), tuple(table)
 
-    Every list is nonempty: in a simple graph an edge is always
-    monitored by its own endpoints.
-    """
-    members, D, C = _probes(g, range(g.n))
-    return tuple(
-        tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(D, C, e, members))
-        for e in g.edges
-    )
 
+def _requirements(cuts: int, masks: tuple[tuple[int, ...], ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """The seed, and the coverage requirements it leaves.
 
-def _requirements(masks: tuple[tuple[int, ...], ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """The implied seed, and the coverage requirements it leaves.
-
-    The seed is the bitmask of the vertices common to all monitoring
-    pairs of some edge: that edge cannot be covered without them, so
-    they lie in every MEG-set.  The structurally forced vertices
+    The seed is ``cuts`` joined with the vertices common to all pairs
+    of some edge: that edge cannot be covered without them, so they lie
+    in every MEG-set joined with ``cuts``.  The structurally forced vertices
     (simplicial vertices and twins) are among these: each lies in every
     monitoring pair of one of its own edges, because a simplicial vertex
     is never interior to a geodesic and a geodesic through a twin has a
@@ -88,7 +99,7 @@ def _requirements(masks: tuple[tuple[int, ...], ...]) -> tuple[int, list[tuple[i
     fewest-options-first, the order in which the search's packing bound
     takes them.
     """
-    seed = 0
+    seed = cuts
     for pairs in masks:
         common = pairs[0]
         for pm in pairs[1:]:
@@ -262,10 +273,11 @@ def _layered_search(g: Graph, *, cap: int, limit: int | None):
         raise ValueError("minimum MEG-set search requires at least one edge")
     if g.n > cap:
         raise SizeCapExceededError(f"graph has {g.n} vertices, solver cap is {cap}")
-    seed, reqs = _requirements(_witness_masks(g))
+    cuts, masks = _witness_masks(g)
+    seed, reqs = _requirements(cuts, masks)
     search = _CoverSearch(reqs, ((1 << g.n) - 1) & ~seed)
     hits = search.covers(search.minimum_size(), limit)
-    return [seed | h for h in hits], search.nodes
+    return [(seed | h) & ~cuts for h in hits], search.nodes
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

@@ -13,7 +13,8 @@ from itertools import combinations, product
 
 from megset import INFINITE, Graph, build_graph, is_meg_set, random_connected
 from megset.randgraphs import _random_tree_edges
-from megset.solver import _requirements, _witness_masks
+from megset.monitoring import _monitoring_pairs, _probes
+from megset.solver import _requirements
 
 
 def random_corpus(count: int, max_n: int, base_seed: int) -> list[Graph]:
@@ -25,6 +26,19 @@ def random_corpus(count: int, max_n: int, base_seed: int) -> list[Graph]:
         m = rng.randint(n - 1, n * (n - 1) // 2)
         out.append(random_connected(n, m, rng.randrange(10**9)))
     return out
+
+
+def random_block_graph(rng: random.Random, pieces: int) -> Graph:
+    """Random connected pieces of 2-5 vertices, each glued by its vertex 0
+    onto a random vertex of the graph built so far."""
+    n, edges = 1, []
+    for _ in range(pieces):
+        k = rng.randint(2, 5)
+        h = random_connected(k, rng.randint(k - 1, k * (k - 1) // 2), rng.randrange(10**9))
+        label = [rng.randrange(n)] + list(range(n, n + k - 1))
+        edges += [(label[a], label[b]) for a, b in h.edges]
+        n += k - 1
+    return build_graph(n, edges)
 
 
 def square_chain(k: int) -> Graph:
@@ -218,16 +232,27 @@ def all_minimum_megs_bruteforce(g: Graph) -> list[frozenset[int]]:
     return []
 
 
+def full_witness_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Per edge, the bitmasks of all pairs of V(G) that monitor it: the
+    solver's former mask table, before it was built per block."""
+    members, D, C = _probes(g, range(g.n))
+    return tuple(
+        tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(D, C, e, members))
+        for e in g.edges
+    )
+
+
 def combinations_sweep(g: Graph) -> list[frozenset[int]]:
     """Every minimum MEG-set, in lexicographic order, by the solver's former search.
 
     Supersets of the implied seed are tried by increasing size, in
-    ``combinations`` order, against the solver's coverage requirements;
-    the hits of the first size that has any are the minimums.  It reads
-    the solver's mask table, so it checks the search alone; the table is
-    pinned to enumeration by the predicate tests.
+    ``combinations`` order, against the coverage requirements of the
+    full-V mask table with no cut vertex seeded; the hits of the first
+    size that has any are the minimums.  It checks the search and the
+    solver's per-block table with its seeded cut vertices; the full
+    table is pinned to enumeration by the predicate tests.
     """
-    seed, reqs = _requirements(_witness_masks(g))
+    seed, reqs = _requirements(0, full_witness_masks(g))
     seeded = frozenset(v for v in range(g.n) if (seed >> v) & 1)
     free = [v for v in range(g.n) if v not in seeded]
 

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -244,6 +245,37 @@ def test_cut_vertices_matches_component_count_oracle():
             if not is_connected(h):
                 expected.add(v)
         assert cut_vertices(g) == expected
+
+
+def _blocks_by_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    blocks = [sorted((min(e), max(e)) for e in b) for b in nx.biconnected_component_edges(h)]
+    return sorted((sorted({v for e in b for v in e}), b) for b in blocks), set(nx.articulation_points(h))
+
+
+def test_blocks_and_cut_vertices_match_networkx():
+    rng = random.Random(67)
+    corpus = oracles.random_corpus(150, 14, 71) + [build_graph(0, []), gen_path(1)]
+    corpus += [oracles.random_block_graph(rng, rng.randint(1, 6)) for _ in range(150)]
+    corpus += [random_tree(n, rng.randrange(10**9)) for n in range(1, 40)]
+    for g in corpus:
+        blocks, cuts = _blocks_by_networkx(g)
+        assert graph_module._blocks(g) == blocks
+        assert cut_vertices(g) == cuts
+
+
+def test_blocks_of_deep_inputs():
+    # the lowlink DFS keeps an explicit stack, so depth 3,000 is fine
+    n = 3000
+    assert sys.getrecursionlimit() < n
+    path, cycle = gen_path(n), gen_cycle(n)
+    assert graph_module._blocks(path) == [([v, v + 1], [(v, v + 1)]) for v in range(n - 1)]
+    assert cut_vertices(path) == frozenset(range(1, n - 1))
+    assert graph_module._blocks(cycle) == [(list(range(n)), list(cycle.edges))]
+    assert cut_vertices(cycle) == frozenset()
 
 
 def test_components_match_induced_components_oracle():

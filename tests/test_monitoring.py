@@ -34,7 +34,6 @@ from megset import (
 )
 from megset import graph as graph_module
 from megset import monitoring
-from megset.solver import _witness_masks
 
 import oracles
 
@@ -211,7 +210,7 @@ def test_witness_masks_match_enumeration():
             )
             for e in g.edges
         )
-        assert _witness_masks(g) == want
+        assert oracles.full_witness_masks(g) == want
 
 
 def test_is_dem_set_matches_enumeration():

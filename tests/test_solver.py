@@ -37,6 +37,11 @@ def bowtie():
     return build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 
+def spider():
+    # center 0 with three legs of length 2
+    return build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+
+
 def test_forced_vertices_examples():
     assert forced_vertices(gen_complete(4)) == frozenset(range(4))
     assert forced_vertices(gen_cycle(6)) == frozenset()
@@ -135,6 +140,43 @@ def test_no_minimum_meg_set_contains_a_cut_vertex():
             checked += 1
 
 
+def test_block_table_matches_enumeration():
+    # per edge of a block that holds a non-cut vertex, the block's monitoring pairs
+    rng = random.Random(73)
+    corpus = oracles.random_corpus(25, 9, 79) + [bowtie(), spider(), gen_tightness_family(2, 1)]
+    corpus += [oracles.random_block_graph(rng, rng.randint(2, 4)) for _ in range(25)]
+    corpus += [random_tree(n, rng.randrange(10**9)) for n in range(2, 12)]
+    for g in corpus:
+        cuts = cut_vertices(g)
+        want = tuple(
+            tuple(
+                (1 << x) | (1 << y)
+                for x, y in combinations(block, 2)
+                if oracles.monitors_by_enumeration(g, x, y, e)
+            )
+            for block, edges in graph_module._blocks(g)
+            if not cuts.issuperset(block)
+            for e in edges
+        )
+        assert _witness_masks(g) == (sum(1 << v for v in cuts), want)
+
+
+def test_block_table_search_matches_bruteforce():
+    # graphs of several blocks, where seeding the cut vertices narrows the search
+    rng = random.Random(89)
+    corpus = [bowtie(), spider()]
+    corpus += [gen_tightness_family(k, r) for k in (2, 3, 4) for r in (0, 1, 2)]
+    corpus += [oracles.random_block_graph(rng, rng.randint(2, 3)) for _ in range(30)]
+    corpus += [random_tree(n, rng.randrange(10**9)) for n in range(3, 12)]
+    corpus += [random_connected(n, n + d, rng.randrange(10**9)) for n in range(5, 12) for d in (1, 2, 3)]
+    corpus = [g for g in corpus if cut_vertices(g)]
+    assert len(corpus) >= 60
+    for g in corpus:
+        hits = oracles.all_minimum_megs_bruteforce(g)
+        assert minimum_meg(g).optimal_set == hits[0]
+        assert all_minimum_megs(g, None) == hits
+
+
 def test_forced_within_implied_seed():
     # simplicial vertices and twins lie in every monitoring pair of one of
     # their own edges, so the mask table's seed needs no structural input
@@ -152,7 +194,7 @@ def test_forced_within_implied_seed():
     corpus += [gen_star(p) for p in range(1, 7)]
     corpus += [gen_cycle(n) for n in range(3, 12)]
     for g in corpus:
-        seed, _ = _requirements(_witness_masks(g))
+        seed, _ = _requirements(*_witness_masks(g))
         assert all(seed >> v & 1 for v in forced_vertices(g))
 
 
@@ -174,8 +216,7 @@ def test_compose_bowtie():
 
 
 def test_compose_spider():
-    # center 0 with three legs of length 2
-    g = build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    g = spider()
     composed = compose_via_cut_vertex(g, 0, [{0, 2}, {0, 4}, {0, 6}])
     assert composed == frozenset({2, 4, 6})
 
@@ -196,19 +237,6 @@ def test_compose_errors():
             compose_via_cut_vertex(g, v, [{0, 1, 2}, {0, 3, 4}])
     with pytest.raises(ValueError, match="not an MEG-set of its piece"):
         compose_via_cut_vertex(g, 0, [{0, 1}, {0, 3, 4}])
-
-
-def _random_block_graph(rng: random.Random, pieces: int):
-    """Random connected pieces of 2-5 vertices, each glued by its vertex 0
-    onto a random vertex of the graph built so far."""
-    n, edges = 1, []
-    for _ in range(pieces):
-        k = rng.randint(2, 5)
-        h = random_connected(k, rng.randint(k - 1, k * (k - 1) // 2), rng.randrange(10**9))
-        label = [rng.randrange(n)] + list(range(n, n + k - 1))
-        edges += [(label[a], label[b]) for a, b in h.edges]
-        n += k - 1
-    return build_graph(n, edges)
 
 
 def _minimum_of_piece(g, piece):
@@ -253,7 +281,7 @@ def test_compose_matches_piece_oracle_on_block_graphs():
     kinds = {"ok": 0, "MEG-set": 0, "outside": 0, "cut vertex": 0, "component sets": 0}
     calls = 0
     while calls < 1000:
-        g = _random_block_graph(rng, rng.randint(2, 4))
+        g = oracles.random_block_graph(rng, rng.randint(2, 4))
         cuts = sorted(cut_vertices(g))
         for _ in range(3):
             v = rng.choice(cuts) if cuts and rng.random() < 0.8 else rng.randrange(g.n)
@@ -294,6 +322,20 @@ def test_tree_solver_equals_leaves():
         assert all_minimum_megs(t) == [leaves]
 
 
+def test_tree_solve_builds_rows_for_leaf_blocks_only(monkeypatch):
+    # a tree's blocks are its edges, and only those at a leaf hold a non-cut vertex
+    built = []
+    counting = graph_module._bfs_with_counts
+    monkeypatch.setattr(graph_module, "_bfs_with_counts", lambda g, s: built.append(s) or counting(g, s))
+    rng = random.Random(101)
+    for n in range(3, 80, 4):
+        t = random_tree(n, rng.randrange(10**9))
+        built.clear()
+        assert minimum_meg(t, cap=n).nodes_explored == 1
+        leaves = {v for v in range(n) if t.degree(v) == 1}
+        assert sorted(built) == sorted(leaves | {w for v in leaves for w in t.adj[v]})
+
+
 def _search_corpus():
     corpus = [random_connected(n, round(1.3 * n), s) for n in range(12, 23) for s in (1, 2, 3)]
     corpus += [gen_grid(a, b) for a, b in ((2, 3), (3, 3), (3, 4), (4, 4))]
@@ -317,7 +359,7 @@ def test_feasibility_check_matches_subset_sweep():
     for _ in range(40):
         n = rng.randint(8, 13)
         g = random_connected(n, rng.randint(n, 2 * n), rng.randrange(10**9))
-        seed, reqs = _requirements(_witness_masks(g))
+        seed, reqs = _requirements(*_witness_masks(g))
         free = [v for v in range(n) if not seed >> v & 1]
         search = _CoverSearch(reqs, sum(1 << v for v in free))
         for _ in range(6):
