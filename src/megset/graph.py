@@ -55,7 +55,7 @@ class Graph:
 
     @cached_property
     def _connected(self) -> bool:
-        return self.n <= 1 or INFINITE not in bfs_distances(self, 0)
+        return len(_components(self, range(self.n))) <= 1
 
     @cached_property
     def _geodesy_rows(self) -> tuple[list, list]:
@@ -119,14 +119,11 @@ def normalize_edge(g: Graph, e: tuple[int, int]) -> Edge:
     return (u, v)
 
 
-def bfs_distances(g: Graph, source: int, skip: Edge | None = None) -> list[float]:
-    """Hop distances from source to every vertex (INFINITE if unreachable).
-
-    With ``skip = (u, v)`` the distances are those of G-(u,v), without
-    materializing G-(u,v).
-    """
+def bfs_distances(g: Graph, source: int, skip: Edge) -> list[float]:
+    """Hop distances from source to every vertex of G-skip (INFINITE if
+    unreachable), without materializing G-skip."""
     _check_vertex(g, source)
-    eu, ev = skip if skip is not None else (-1, -1)
+    eu, ev = skip
     dist: list[float] = [INFINITE] * g.n
     dist[source] = 0
     q = deque([source])
@@ -238,19 +235,19 @@ def twin_vertices(g: Graph) -> frozenset[int]:
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
-    """The articulation vertices: those of two or more blocks.  Requires a
-    connected graph."""
+    """The articulation vertices, those of two or more blocks, as the one
+    lowlink DFS of ``_blocks`` finds them.  Requires a connected graph."""
     require_connected(g)
-    shared = Counter(v for block, _ in _blocks(g) for v in block)
-    return frozenset(v for v, k in shared.items() if k > 1)
+    return _blocks(g)[1]
 
 
-def _blocks(g: Graph) -> list[tuple[list[int], list[Edge]]]:
+def _blocks(g: Graph) -> tuple[list[tuple[list[int], list[Edge]]], frozenset[int]]:
     """The blocks (biconnected components) of a connected graph as (sorted
-    vertices, sorted edges), in vertex-list order, by Hopcroft-Tarjan
-    lowlink over an iterative DFS with an edge stack: when nothing below w
-    reaches above w's tree parent p, the edges stacked since the tree edge
-    (p, w) form a block."""
+    vertices, sorted edges), in vertex-list order, and its cut vertices
+    (those of two or more blocks), by Hopcroft-Tarjan lowlink over an
+    iterative DFS with an edge stack: when nothing below w reaches above
+    w's tree parent p, the edges stacked since the tree edge (p, w) form a
+    block."""
     disc = [0] + [-1] * (g.n - 1)
     low = [0] * g.n
     clock = count(1)
@@ -278,7 +275,8 @@ def _blocks(g: Graph) -> list[tuple[list[int], list[Edge]]]:
                     del stacked[base:]
                     blocks.append((sorted({x for e in edges for x in e}), edges))
     blocks.sort()
-    return blocks
+    shared = Counter(v for block, _ in blocks for v in block)
+    return blocks, frozenset(v for v, k in shared.items() if k > 1)
 
 
 def _components(g: Graph, vertices: Iterable[int]) -> list[list[int]]:

@@ -23,7 +23,7 @@ _monitoring_pairs scans each member's rows against the later members,
 so it yields the monitoring pairs of one edge in lexicographic order:
 is_meg_set and monitored_edges take its first pair, witness_report its
 first few, simulate_failure all pairs of the probe set, the solver's
-mask table all pairs of the graph, and pair_monitors_edge its one pair.
+mask table all pairs of each block, and pair_monitors_edge its one pair.
 """
 
 from __future__ import annotations

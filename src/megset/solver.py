@@ -35,7 +35,6 @@ from .graph import (
     _blocks,
     _check_vertex,
     _components,
-    cut_vertices,
     require_connected,
     simplicial_vertices,
     twin_vertices,
@@ -72,9 +71,9 @@ def _witness_masks(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The bitmask of the cut vertices, and per edge of each block with a
     non-cut vertex the bitmasks of the block's pairs that monitor it.
     Every list is nonempty: an edge's own endpoints monitor it."""
-    cuts = cut_vertices(g)
+    blocks, cuts = _blocks(g)
     table = []
-    for block, edges in _blocks(g):
+    for block, edges in blocks:
         if not cuts.issuperset(block):
             D, C = g.geodesy(block)
             table += (tuple((1 << x) | (1 << y) for x, y in _monitoring_pairs(D, C, e, block))

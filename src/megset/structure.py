@@ -201,21 +201,10 @@ def max_leaf_number(g: Graph, *, cap: int = MLN_VERTEX_CAP) -> int:
 
 
 def _connected_dominating(g: Graph, cand: tuple[int, ...]) -> bool:
-    inside = set(cand)
-    dominated = set(inside)
-    for v in inside:
+    dominated = set(cand)
+    for v in cand:
         dominated.update(g.adj[v])
-    if len(dominated) != g.n:
-        return False
-    seen = {cand[0]}
-    stack = [cand[0]]
-    while stack:
-        x = stack.pop()
-        for y in g.adj[x]:
-            if y in inside and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(inside)
+    return len(dominated) == g.n and len(_components(g, cand)) == 1
 
 
 def gen_tightness_family(k: int, leaves: int) -> Graph:

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import weakref
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -166,28 +167,52 @@ def test_is_connected_examples():
     assert is_connected(gen_path(5))
     assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
     assert is_connected(build_graph(1, []))
+    # the null graph is vacuously connected; networkx raises on it
+    assert is_connected(build_graph(0, []))
+
+
+def test_is_connected_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    corpus = [build_graph(2, []), gen_path(2)]
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        pairs = list(combinations(range(n), 2))
+        # sparse edge counts leave isolated vertices and several components
+        corpus.append(build_graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))))
+    assert {is_connected(g) for g in corpus} == {True, False}
+    for g in corpus:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        assert is_connected(g) == nx.is_connected(h)
 
 
 def test_connectivity_is_checked_once_per_graph(monkeypatch):
-    sources = []
-    bfs = graph_module.bfs_distances
+    # one component traversal per graph, and no BFS
+    checked = []
+    components = graph_module._components
 
-    def counting_bfs(g, source, skip=None):
-        sources.append(source)
-        return bfs(g, source, skip)
+    def counting_components(g, vertices):
+        checked.append(g)
+        return components(g, vertices)
 
-    monkeypatch.setattr(graph_module, "bfs_distances", counting_bfs)
+    def no_bfs(*args):
+        raise AssertionError("the connectivity check ran a BFS")
+
+    monkeypatch.setattr(graph_module, "_components", counting_components)
+    monkeypatch.setattr(graph_module, "bfs_distances", no_bfs)
     g = random_connected(30, 40, 3)
     require_connected(g)
-    assert sources == [0]
+    assert checked == [g]
     require_connected(g)
     assert is_connected(g)
-    assert sources == [0]
+    assert checked == [g]
     split = build_graph(4, [(0, 1), (2, 3)])
     for _ in range(2):
         with pytest.raises(DisconnectedGraphError):
             require_connected(split)
-    assert sources == [0, 0]
+    assert checked == [g, split]
 
 
 def test_simplicial_examples():
@@ -263,7 +288,7 @@ def test_blocks_and_cut_vertices_match_networkx():
     corpus += [random_tree(n, rng.randrange(10**9)) for n in range(1, 40)]
     for g in corpus:
         blocks, cuts = _blocks_by_networkx(g)
-        assert graph_module._blocks(g) == blocks
+        assert graph_module._blocks(g) == (blocks, cuts)
         assert cut_vertices(g) == cuts
 
 
@@ -272,9 +297,10 @@ def test_blocks_of_deep_inputs():
     n = 3000
     assert sys.getrecursionlimit() < n
     path, cycle = gen_path(n), gen_cycle(n)
-    assert graph_module._blocks(path) == [([v, v + 1], [(v, v + 1)]) for v in range(n - 1)]
+    path_blocks = [([v, v + 1], [(v, v + 1)]) for v in range(n - 1)]
+    assert graph_module._blocks(path) == (path_blocks, frozenset(range(1, n - 1)))
     assert cut_vertices(path) == frozenset(range(1, n - 1))
-    assert graph_module._blocks(cycle) == [(list(range(n)), list(cycle.edges))]
+    assert graph_module._blocks(cycle) == ([(list(range(n)), list(cycle.edges))], frozenset())
     assert cut_vertices(cycle) == frozenset()
 
 

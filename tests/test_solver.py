@@ -28,6 +28,7 @@ from megset import (
 )
 
 from megset import graph as graph_module
+from megset import solver as solver_module
 from megset.solver import _CoverSearch, _requirements, _trim, _witness_masks
 
 import oracles
@@ -154,7 +155,7 @@ def test_block_table_matches_enumeration():
                 for x, y in combinations(block, 2)
                 if oracles.monitors_by_enumeration(g, x, y, e)
             )
-            for block, edges in graph_module._blocks(g)
+            for block, edges in graph_module._blocks(g)[0]
             if not cuts.issuperset(block)
             for e in edges
         )
@@ -175,6 +176,27 @@ def test_block_table_search_matches_bruteforce():
         hits = oracles.all_minimum_megs_bruteforce(g)
         assert minimum_meg(g).optimal_set == hits[0]
         assert all_minimum_megs(g, None) == hits
+
+
+def test_solve_runs_one_lowlink_pass(monkeypatch):
+    # the blocks and the cut vertices of a solve come from one DFS
+    rng = random.Random(103)
+    corpus = [gen_tightness_family(3, 1)] + [oracles.random_block_graph(rng, 3) for _ in range(6)]
+    assert all(cut_vertices(g) for g in corpus)
+    calls = []
+    blocks = graph_module._blocks
+
+    def counting_blocks(g):
+        calls.append(g)
+        return blocks(g)
+
+    monkeypatch.setattr(graph_module, "_blocks", counting_blocks)
+    monkeypatch.setattr(solver_module, "_blocks", counting_blocks)
+    for g in corpus:
+        for solve in (minimum_meg, lambda g: all_minimum_megs(g, None)):
+            calls.clear()
+            solve(g)
+            assert calls == [g]
 
 
 def test_forced_within_implied_seed():

@@ -102,6 +102,17 @@ def test_counting_bfs_runs_only_in_the_geodesy_accessor():
     assert _scopes_referring_to("_bfs_with_counts") == ["graph.py:Graph.geodesy"]
 
 
+def test_skip_edge_bfs_serves_only_the_skip_edge_callers():
+    # connectivity is a component question, answered by graph._components
+    assert _scopes_referring_to("bfs_distances") == ["graph.py:distance_without_edge",
+                                                     "monitoring.py:simulate_failure"]
+
+
+def test_lowlink_dfs_runs_only_for_cut_vertices_and_the_mask_table():
+    # a solve takes its blocks and cut vertices from one _blocks call
+    assert _scopes_referring_to("_blocks") == ["graph.py:cut_vertices", "solver.py:_witness_masks"]
+
+
 def _is_count_product(node) -> bool:
     """A product of two table lookups, such as C[x][u] * C[y][v]."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)

@@ -216,10 +216,16 @@ def test_max_leaf_number_cap():
 
 def test_max_leaf_number_matches_spanning_tree_bruteforce():
     rng = random.Random(19)
+    corpus = []
     for _ in range(12):
         n = rng.randint(2, 7)
         m = rng.randint(n - 1, n * (n - 1) // 2)
-        g = random_connected(n, m, rng.randrange(10**9))
+        corpus.append(random_connected(n, m, rng.randrange(10**9)))
+    # larger sparse graphs, whose connected dominating sets are large
+    for n in (8, 9, 10):
+        corpus += [random_tree(n, rng.randrange(10**9)), gen_cycle(n)]
+        corpus += [random_connected(n, n + d, rng.randrange(10**9)) for d in (0, 1, 2)]
+    for g in corpus:
         assert max_leaf_number(g) == oracles.max_leaf_spanning_tree_bruteforce(g)
 
 
