@@ -1,18 +1,20 @@
 """Immutable simple undirected graphs and unweighted shortest-path machinery.
 
 Vertices are dense integers 0..n-1; external labels belong at the I/O
-layer.  All distances are BFS hop counts.  ``INFINITE`` marks unreachable
-pairs and saturates under addition, so callers never juggle sentinel
-integers.
+layer.  All distances are BFS hop counts, from one counting BFS that
+walks the adjacency it is given: ``g.adj`` for the geodesy rows of G,
+``_adjacency_without(g, e)`` for distances in G-e.  ``INFINITE`` marks
+unreachable pairs and saturates under addition, so callers never juggle
+sentinel integers.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError, GraphFormatError
 
@@ -69,7 +71,7 @@ class Graph:
         for s in sources:
             _check_vertex(self, s)
             if dists[s] is None:
-                d, c = _bfs_with_counts(self, s)
+                d, c = _bfs_with_counts(self.adj, s)
                 dists[s], counts[s] = tuple(d), tuple(c)
         return tuple(dists), tuple(counts)
 
@@ -119,26 +121,6 @@ def normalize_edge(g: Graph, e: tuple[int, int]) -> Edge:
     return (u, v)
 
 
-def bfs_distances(g: Graph, source: int, skip: Edge) -> list[float]:
-    """Hop distances from source to every vertex of G-skip (INFINITE if
-    unreachable), without materializing G-skip."""
-    _check_vertex(g, source)
-    eu, ev = skip
-    dist: list[float] = [INFINITE] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        x = q.popleft()
-        dx = dist[x] + 1
-        for y in g.adj[x]:
-            if dist[y] == INFINITE:
-                if (x == eu and y == ev) or (x == ev and y == eu):
-                    continue
-                dist[y] = dx
-                q.append(y)
-    return dist
-
-
 def distance(g: Graph, u: int, v: int) -> float:
     """BFS hop distance between u and v; INFINITE across components."""
     _check_vertex(g, v)
@@ -163,11 +145,13 @@ def count_shortest_paths(g: Graph, u: int, v: int) -> int:
     return g.geodesy((u,))[1][u][v]
 
 
-def _bfs_with_counts(g: Graph, source: int) -> tuple[list[float], list[int]]:
+def _bfs_with_counts(adj: Sequence[tuple[int, ...]], source: int) -> tuple[list[float], list[int]]:
+    """Hop distances (INFINITE if unreachable) and geodesic counts (0 if
+    unreachable) from source over the adjacency lists ``adj``."""
     # count 0 means unreached; none lies deeper than d yet, so dist >= d is d
-    adj = g.adj
-    dist: list[float] = [INFINITE] * g.n
-    counts = [0] * g.n
+    n = len(adj)
+    dist: list[float] = [INFINITE] * n
+    counts = [0] * n
     dist[source] = 0
     counts[source] = 1
     frontier = [source]
@@ -188,11 +172,22 @@ def _bfs_with_counts(g: Graph, source: int) -> tuple[list[float], list[int]]:
     return dist, counts
 
 
+def _adjacency_without(g: Graph, e: Edge) -> list[tuple[int, ...]]:
+    """The adjacency of G-e for an edge e of g: a copy of ``g.adj`` in
+    which only the lists of e's two endpoints are filtered."""
+    u, v = e
+    adj = list(g.adj)
+    adj[u] = tuple(w for w in adj[u] if w != v)
+    adj[v] = tuple(w for w in adj[v] if w != u)
+    return adj
+
+
 def distance_without_edge(g: Graph, e: tuple[int, int], u: int, v: int) -> float:
-    """BFS distance between u and v in G-e, without materializing G-e."""
-    skip = normalize_edge(g, e)
+    """BFS distance between u and v in G-e; e is checked first, then v, then u."""
+    e = normalize_edge(g, e)
     _check_vertex(g, v)
-    return bfs_distances(g, u, skip)[v]
+    _check_vertex(g, u)
+    return _bfs_with_counts(_adjacency_without(g, e), u)[0][v]
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,8 +11,8 @@ sigma(x,u) * sigma(y,v) in the feasible orientation, equals sigma(x,y).
 It reads only the geodesy rows of x and y, so a check builds one
 counting BFS row per probe, kept on the graph.  Distance increase and
 path enumeration live on as test oracles, and the suite pins all three
-routes to each other.  The simulator still runs a BFS on G-e, for the
-new distances it reports.
+routes to each other.  The simulator still runs the counting BFS on the
+adjacency of G-e, for the new distances it reports.
 
 DEM lemma: some pair (x, y) monitors u-v iff d(x,u) != d(x,v) and
 sigma(x,u) = sigma(x,v), that is iff the farther endpoint has the nearer
@@ -34,7 +34,8 @@ from itertools import islice
 from .graph import (
     Edge,
     Graph,
-    bfs_distances,
+    _adjacency_without,
+    _bfs_with_counts,
     normalize_edge,
     require_connected,
 )
@@ -155,9 +156,10 @@ def simulate_failure(g: Graph, s, e: tuple[int, int]) -> DetectionReport:
     members, D, C = _probes(g, s)
     report = DetectionReport(failed_edge=failed)
     # one BFS on G-e per probe that heads a detecting pair
+    without = _adjacency_without(g, failed)
     new_dist = {}
     for x, y in _monitoring_pairs(D, C, failed, members):
         if x not in new_dist:
-            new_dist[x] = bfs_distances(g, x, failed)
+            new_dist[x] = _bfs_with_counts(without, x)[0]
         report.observations.append(ProbeObservation(x, y, D[x][y], new_dist[x][y]))
     return report

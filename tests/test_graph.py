@@ -33,6 +33,7 @@ from megset import (
     twin_vertices,
 )
 from megset import graph as graph_module
+from megset import monitoring
 from megset.graph import require_connected
 
 import oracles
@@ -163,6 +164,53 @@ def test_distance_without_edge_requires_edge():
         distance_without_edge(gen_path(3), (0, 2), 0, 2)
 
 
+def test_distance_without_edge_checks_the_edge_then_v_then_u():
+    p3 = gen_path(3)
+    for e, u, v, message in (((0, 2), 9, 7, r"\(0,2\) is not an edge"),
+                             ((0, 5), 9, 7, r"vertex 5 outside \[0,3\)"),
+                             ((0, 1), 9, 7, r"vertex 7 outside \[0,3\)"),
+                             ((0, 1), -1, 3, r"vertex 3 outside \[0,3\)"),
+                             ((0, 1), 9, 2, r"vertex 9 outside \[0,3\)"),
+                             # a negative source must not wrap round to vertex n - 1
+                             ((0, 1), -1, 2, r"vertex -1 outside \[0,3\)"),
+                             ((1, 2), 0, -1, r"vertex -1 outside \[0,3\)")):
+        with pytest.raises(GraphFormatError, match=message):
+            distance_without_edge(p3, e, u, v)
+
+
+def test_counting_bfs_on_graph_minus_edge_matches_rebuilt_graph():
+    # every (source, edge) pair; the tree makes every edge a bridge
+    rng = random.Random(61)
+    corpus = oracles.random_corpus(20, 9, 61) + [random_tree(10, 61), gen_grid(4, 5),
+                                                 gen_hypercube(4)]
+    for g in corpus:
+        adj = g.adj
+        g.geodesy(range(0, g.n, 2))  # half the rows built, half not yet
+        for e in g.edges:
+            rebuilt = oracles.delete_edge(g, e)
+            without = graph_module._adjacency_without(g, e)
+            for s in range(g.n):
+                dist, counts = graph_module._bfs_with_counts(without, s)
+                levels = oracles.bfs_levels(rebuilt, s)
+                assert dist == [levels.get(t, INFINITE) for t in range(g.n)]
+                assert counts == [len(oracles.enumerate_geodesics(rebuilt, s, t))
+                                  for t in range(g.n)]
+                t = rng.randrange(g.n)
+                assert distance_without_edge(g, e[::-1], s, t) == dist[t]
+            simulate_failure(g, range(g.n), e)
+        # the walks on G-e left g's adjacency and its cached rows those of G
+        assert g.adj is adj
+        assert g.geodesy(range(g.n)) == build_graph(g.n, g.edges).geodesy(range(g.n))
+
+
+def test_counting_bfs_on_graph_minus_edge_counts_past_64_bits():
+    chain = oracles.square_chain(65)
+    for e in ((0, 1), (97, 99), (193, 195)):
+        dist, counts = graph_module._bfs_with_counts(graph_module._adjacency_without(chain, e), 0)
+        assert (dist[195], counts[195]) == (130, 2**64)
+        assert distance_without_edge(chain, e, 0, 195) == 130
+
+
 def test_is_connected_examples():
     assert is_connected(gen_path(5))
     assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
@@ -201,7 +249,8 @@ def test_connectivity_is_checked_once_per_graph(monkeypatch):
         raise AssertionError("the connectivity check ran a BFS")
 
     monkeypatch.setattr(graph_module, "_components", counting_components)
-    monkeypatch.setattr(graph_module, "bfs_distances", no_bfs)
+    for module in (graph_module, monitoring):
+        monkeypatch.setattr(module, "_bfs_with_counts", no_bfs)
     g = random_connected(30, 40, 3)
     require_connected(g)
     assert checked == [g]

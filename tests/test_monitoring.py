@@ -62,12 +62,13 @@ def test_pair_monitors_edge_runs_no_bfs_once_rows_are_built(monkeypatch):
     g.geodesy((4, 17))
     assert is_connected(g)
     calls = []
-    for module, name in ((graph_module, "bfs_distances"), (graph_module, "_bfs_with_counts"),
-                         (monitoring, "bfs_distances")):
-        def counting(*args, fn=getattr(module, name), name=name):
-            calls.append(name)
-            return fn(*args)
-        monkeypatch.setattr(module, name, counting)
+
+    def no_bfs(*args):
+        calls.append(args)
+        raise AssertionError("pair_monitors_edge ran a BFS on warm rows")
+
+    for module in (graph_module, monitoring):
+        monkeypatch.setattr(module, "_bfs_with_counts", no_bfs)
     verdicts = {pair_monitors_edge(g, x, y, e) for e in g.edges for x, y in ((4, 17), (17, 4))}
     assert verdicts == {False, True}
     assert calls == []
@@ -312,13 +313,13 @@ def test_simulate_failure_matches_distance_oracle():
 
 def test_simulate_runs_one_bfs_per_detecting_probe(monkeypatch):
     sources = []
-    bfs = monitoring.bfs_distances
+    bfs = monitoring._bfs_with_counts
 
-    def counting_bfs(g, source, skip=None):
+    def counting_bfs(adj, source):
         sources.append(source)
-        return bfs(g, source, skip)
+        return bfs(adj, source)
 
-    monkeypatch.setattr(monitoring, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(monitoring, "_bfs_with_counts", counting_bfs)
     assert not simulate_failure(gen_cycle(4), {0, 1, 2}, (0, 3)).detected
     assert sources == []
     # on P3 the pairs (0, 1) and (0, 2) detect (0, 1); both are headed by 0

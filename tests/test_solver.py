@@ -28,6 +28,7 @@ from megset import (
 )
 
 from megset import graph as graph_module
+from megset import monitoring
 from megset import solver as solver_module
 from megset.solver import _CoverSearch, _requirements, _trim, _witness_masks
 
@@ -330,8 +331,8 @@ def test_compose_runs_no_bfs_on_warm_rows(monkeypatch):
     def no_bfs(*args):
         raise AssertionError("compose ran a BFS")
 
-    monkeypatch.setattr(graph_module, "_bfs_with_counts", no_bfs)
-    monkeypatch.setattr(graph_module, "bfs_distances", no_bfs)
+    for module in (graph_module, monitoring):
+        monkeypatch.setattr(module, "_bfs_with_counts", no_bfs)
     assert compose_via_cut_vertex(g, 8, sets) == frozenset(sets[0] | sets[1]) - {8}
 
 

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import megset
+from megset import graph as graph_module
 
 
 def _package_trees():
@@ -97,15 +98,29 @@ def _scopes_referring_to(name: str) -> list[str]:
                          or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
+def _scopes_calling_with_first_argument(name: str, match) -> list[str]:
+    return _scopes_where(lambda node: isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name) and node.func.id == name
+                         and bool(node.args) and match(node.args[0]))
+
+
 def test_counting_bfs_runs_only_in_the_geodesy_accessor():
-    # the per-source geodesy rows are the one owner of geodesic counts
-    assert _scopes_referring_to("_bfs_with_counts") == ["graph.py:Graph.geodesy"]
+    # the per-source geodesy rows are the one owner of geodesic counts on G;
+    # every other caller of the counting BFS walks the adjacency of G-e
+    assert _scopes_calling_with_first_argument(
+        "_bfs_with_counts",
+        lambda arg: isinstance(arg, ast.Attribute) and arg.attr == "adj") == ["graph.py:Graph.geodesy"]
+    edge_removed = _scopes_referring_to("_adjacency_without")
+    assert _scopes_referring_to("_bfs_with_counts") == ["graph.py:Graph.geodesy"] + edge_removed
 
 
 def test_skip_edge_bfs_serves_only_the_skip_edge_callers():
-    # connectivity is a component question, answered by graph._components
-    assert _scopes_referring_to("bfs_distances") == ["graph.py:distance_without_edge",
-                                                     "monitoring.py:simulate_failure"]
+    # the BFS of G-e walks the adjacency from _adjacency_without, and only
+    # the two skip-edge callers build it; connectivity is a component
+    # question, answered by graph._components
+    assert _scopes_referring_to("_adjacency_without") == ["graph.py:distance_without_edge",
+                                                          "monitoring.py:simulate_failure"]
+    assert not hasattr(graph_module, "bfs_distances")
 
 
 def test_lowlink_dfs_runs_only_for_cut_vertices_and_the_mask_table():
