@@ -6,6 +6,13 @@ walks the adjacency it is given: ``g.adj`` for the geodesy rows of G,
 ``_adjacency_without(g, e)`` for distances in G-e.  ``INFINITE`` marks
 unreachable pairs and saturates under addition, so callers never juggle
 sentinel integers.
+
+Each graph peels its degree-1 vertices once (``Graph._hanging``): what
+is left is the 2-core, and every peeled vertex hangs in a tree below one
+core vertex, its root.  A geodesic from a hanging vertex leaves through
+its root along the one tree path, so its geodesy rows derive from the
+root's: the same counts, and distances shifted by its depth except in
+its own hanging component.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DisconnectedGraphError, GraphFormatError
 
@@ -23,6 +30,26 @@ INFINITE = float("inf")
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[float, ...], ...]
 CountMatrix = tuple[tuple[int, ...], ...]
+
+
+class _Hanging(NamedTuple):
+    """The peel of a graph's degree-1 vertices, indexed by vertex.
+
+    A vertex that survives the peel is a core vertex and its own root; a
+    component without a cycle keeps its smallest vertex as its core.
+    Every other vertex hangs below ``root``, at ``depth`` tree steps,
+    under tree ``parent`` (-1 on the core).  ``order`` lists each core
+    vertex followed by the vertices hanging below it, in preorder, and
+    ``order[tin[v]:tout[v]]`` is v's subtree (for a core vertex, all that
+    hangs below it).
+    """
+
+    root: list[int]
+    depth: list[int]
+    parent: list[int]
+    order: list[int]
+    tin: list[int]
+    tout: list[int]
 
 
 @dataclass(frozen=True)
@@ -60,19 +87,66 @@ class Graph:
         return len(_components(self, range(self.n))) <= 1
 
     @cached_property
+    def _hanging(self) -> _Hanging:
+        """The graph's one peel of degree-1 vertices."""
+        n, adj = self.n, self.adj
+        deg = [len(a) for a in adj]
+        stack = [v for v in range(n) if deg[v] == 1]
+        while stack:
+            v = stack.pop()
+            deg[v] = 0
+            for w in adj[v]:
+                if deg[w] > 0:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        stack.append(w)
+        core = [d >= 2 for d in deg]
+        root, depth, parent, tin = list(range(n)), [0] * n, [-1] * n, [-1] * n
+        order: list[int] = []
+        # the 2-core first; a component without a cycle peels away whole and
+        # keeps as its core the first vertex it is met at, its smallest
+        for c in [v for v in range(n) if core[v]] + list(range(n)):
+            if tin[c] >= 0:
+                continue
+            core[c] = True
+            stack = [c]
+            while stack:
+                v = stack.pop()
+                tin[v] = len(order)
+                order.append(v)
+                for w in adj[v]:
+                    if w != parent[v] and not core[w]:
+                        root[w], depth[w], parent[w] = c, depth[v] + 1, v
+                        stack.append(w)
+        size = [1] * n
+        for v in reversed(order):
+            if parent[v] >= 0:
+                size[parent[v]] += size[v]
+        return _Hanging(root, depth, parent, order, tin, [tin[v] + size[v] for v in range(n)])
+
+    @cached_property
     def _geodesy_rows(self) -> tuple[list, list]:
         return [None] * self.n, [None] * self.n
 
     def geodesy(self, sources: Iterable[int]) -> tuple[DistanceMatrix, CountMatrix]:
         """Distance and geodesic-count rows indexed by source: those of the
-        given sources filled (one counting BFS each, on first use), None
-        for a source that no call has asked for yet."""
-        dists, counts = self._geodesy_rows
+        given sources filled on first use, None for a source that no call
+        has asked for yet.  Every source is checked before any row is
+        built.  A core source takes one counting BFS; a hanging source
+        shares its root's count row and shifts its root's distance row."""
+        sources = list(sources)
         for s in sources:
             _check_vertex(self, s)
+        dists, counts = self._geodesy_rows
+        for s in sources:
             if dists[s] is None:
-                d, c = _bfs_with_counts(self.adj, s)
-                dists[s], counts[s] = tuple(d), tuple(c)
+                h = self._hanging
+                r = h.root[s]
+                if dists[r] is None:
+                    d, c = _bfs_with_counts(self.adj, r)
+                    dists[r], counts[r] = tuple(d), tuple(c)
+                if s != r:
+                    dists[s], counts[s] = _hanging_row(h, dists[r], s), counts[r]
         return tuple(dists), tuple(counts)
 
 
@@ -143,6 +217,29 @@ def count_shortest_paths(g: Graph, u: int, v: int) -> int:
     if u == v:
         raise ValueError("count_shortest_paths requires u != v")
     return g.geodesy((u,))[1][u][v]
+
+
+def _hanging_row(h: _Hanging, root_row: tuple[float, ...], s: int) -> tuple[float, ...]:
+    """The distance row of a hanging vertex s from its root's row.
+
+    A path out of s's own hanging component leaves through the root, so it
+    is depth(s) longer than from the root.  Inside that component the one
+    tree path turns at the lowest common ancestor: walking up from s, the
+    part of each ancestor a's subtree not under the previous one is at
+    depth(s) + depth(v) - 2 depth(a).
+    """
+    ds = h.depth[s]
+    row = [d + ds for d in root_row]
+    order, tin, tout, depth = h.order, h.tin, h.tout, h.depth
+    a = s
+    lo = hi = tin[s]
+    while a != h.root[s]:
+        shift = ds - 2 * depth[a]
+        for v in order[tin[a]:lo] + order[hi:tout[a]]:
+            row[v] = shift + depth[v]
+        lo, hi = tin[a], tout[a]
+        a = h.parent[a]
+    return tuple(row)
 
 
 def _bfs_with_counts(adj: Sequence[tuple[int, ...]], source: int) -> tuple[list[float], list[int]]:

@@ -8,8 +8,9 @@ This module decides monitoring in one place, _monitoring_pairs, by a
 count-product criterion that costs O(1) per pair: e = (u, v) is on all
 x-y geodesics iff the number of geodesics through e, which is
 sigma(x,u) * sigma(y,v) in the feasible orientation, equals sigma(x,y).
-It reads only the geodesy rows of x and y, so a check builds one
-counting BFS row per probe, kept on the graph.  Distance increase and
+It reads only the geodesy rows of x and y, kept on the graph; a
+hanging probe's rows derive from its root's, so a check runs one
+counting BFS per distinct root of its probes.  Distance increase and
 path enumeration live on as test oracles, and the suite pins all three
 routes to each other.  The simulator still runs the counting BFS on the
 adjacency of G-e, for the new distances it reports.
@@ -21,13 +22,22 @@ farther endpoint).  So hierarchy's DEM check reads only members' rows.
 
 _monitoring_pairs scans each member's rows against the later members,
 so it yields the monitoring pairs of one edge in lexicographic order:
-is_meg_set and monitored_edges take its first pair, witness_report its
-first few, simulate_failure all pairs of the probe set, the solver's
-mask table all pairs of each block, and pair_monitors_edge its one pair.
+witness_report takes its first few, simulate_failure all pairs of the
+probe set, the solver's mask table all pairs of each block, and
+pair_monitors_edge its one pair.
+
+The set checks read the graph's peel of degree-1 vertices.  A tree edge
+is a bridge, monitored by exactly the pairs it separates, so it is
+decided by which side of it each member lies on: a bisect over the
+members in Euler order.  A pair monitors an edge of the 2-core exactly
+when the pair's roots differ and monitor it, so is_meg_set and
+monitored_edges scan those edges over the members' distinct roots, and
+take the first pair there.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -36,6 +46,7 @@ from .graph import (
     Graph,
     _adjacency_without,
     _bfs_with_counts,
+    _check_vertex,
     normalize_edge,
     require_connected,
 )
@@ -83,12 +94,18 @@ def pair_monitors_edge(g: Graph, x: int, y: int, e: tuple[int, int]) -> bool:
 
 
 def _probes(g: Graph, s):
-    """Preamble of the set-level checks: the sorted members of s and
-    their geodesy rows (D, C)."""
+    """Preamble of the set-level checks that read member rows: the sorted
+    members of s and their geodesy rows (D, C)."""
     require_connected(g)
     members = sorted(set(s))
-    D, C = g.geodesy(members)  # raises on a member outside the graph
+    D, C = g.geodesy(members)  # checks every member before it builds a row
     return members, D, C
+
+
+def _below(h, e: Edge) -> int:
+    """The lower endpoint of e if e is a tree edge of the peel ``h``, else -1."""
+    u, v = e
+    return v if h.parent[v] == u else u if h.parent[u] == v else -1
 
 
 def _monitoring_pairs(D, C, e: Edge, members):
@@ -115,30 +132,78 @@ def _monitoring_pairs(D, C, e: Edge, members):
                 yield x, y
 
 
+def _coverage(g: Graph, s):
+    """Each edge of g, in order, with whether some pair of s monitors it.
+
+    A tree edge is monitored when members lie on both of its sides.  Two
+    members monitor a core edge exactly when their roots differ and
+    monitor it, so core edges are scanned over the members' roots.
+    """
+    require_connected(g)
+    members = sorted(set(s))
+    for x in members:
+        _check_vertex(g, x)
+    h = g._hanging
+    roots = sorted({h.root[x] for x in members})
+    D, C = g.geodesy(roots)
+    tins = sorted(h.tin[x] for x in members)
+    for e in g.edges:
+        w = _below(h, e)
+        if w >= 0:
+            yield e, 0 < bisect_left(tins, h.tout[w]) - bisect_left(tins, h.tin[w]) < len(tins)
+        else:
+            yield e, any(_monitoring_pairs(D, C, e, roots))
+
+
 def monitored_edges(g: Graph, s) -> set[Edge]:
     """All edges monitored by at least one pair drawn from s."""
-    members, D, C = _probes(g, s)
-    return {e for e in g.edges if any(_monitoring_pairs(D, C, e, members))}
+    return {e for e, covered in _coverage(g, s) if covered}
 
 
 def is_meg_set(g: Graph, s) -> bool:
     """True iff every edge of g is monitored by some pair of s."""
-    members, D, C = _probes(g, s)
-    return all(any(_monitoring_pairs(D, C, e, members)) for e in g.edges)
+    return all(covered for _, covered in _coverage(g, s))
+
+
+def _separated_pairs(members: list[int], inside: list[int]):
+    """The pairs of combinations(members, 2) with exactly one vertex in
+    ``inside``, a sorted part of the sorted ``members``, in that order."""
+    side = set(inside)
+    outside = [x for x in members if x not in side]
+    if not outside:
+        return
+    # past the smaller of the two sides' largest vertices no x has a partner above it
+    last = min(inside[-1], outside[-1])
+    for x in members:
+        if x > last:
+            return
+        other = outside if x in side else inside
+        for i in range(bisect_right(other, x), len(other)):
+            yield x, other[i]
 
 
 def witness_report(g: Graph, s, max_witnesses_per_edge: int = 3) -> WitnessReport:
     """Up to max_witnesses_per_edge monitoring pairs per edge, lexicographic.
 
-    The uncovered list is always complete regardless of the cap.
+    The uncovered list is always complete regardless of the cap.  A tree
+    edge's pairs are the member pairs it separates, found from the members
+    in Euler order; a core edge's come from the scan of member rows.
     """
     members, D, C = _probes(g, s)
     if max_witnesses_per_edge < 1:
         raise ValueError("max_witnesses_per_edge must be positive")
-    witnesses = {
-        e: list(islice(_monitoring_pairs(D, C, e, members), max_witnesses_per_edge))
-        for e in g.edges
-    }
+    h = g._hanging
+    by_tin = sorted(members, key=h.tin.__getitem__)
+    tins = [h.tin[x] for x in by_tin]
+    witnesses = {}
+    for e in g.edges:
+        w = _below(h, e)
+        if w >= 0:
+            inside = sorted(by_tin[bisect_left(tins, h.tin[w]):bisect_left(tins, h.tout[w])])
+            pairs = _separated_pairs(members, inside) if inside else ()
+        else:
+            pairs = _monitoring_pairs(D, C, e, members)
+        witnesses[e] = list(islice(pairs, max_witnesses_per_edge))
     uncovered = [e for e, found in witnesses.items() if not found]
     return WitnessReport(witnesses=witnesses, uncovered=uncovered)
 

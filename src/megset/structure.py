@@ -3,6 +3,8 @@ constructive MEG-set whose size is linear in the cyclomatic number.
 
 The base graph is what remains after iteratively deleting degree-1
 vertices; the removed parts are hanging trees rooted on the base.  The
+peel is the graph's own, done once per graph (``Graph._hanging``), and
+the geodesy rows and the monitoring checks read the same one.  The
 base decomposes into core vertices (degree >= 3), proper core paths
 (degree-2 interiors between distinct core vertices) and core cycles
 (closed core paths attached at a single core vertex).
@@ -58,35 +60,29 @@ def leaf_set(g: Graph) -> frozenset[int]:
 
 
 def base_graph(g: Graph) -> CoreDecomposition:
-    """Strip degree-1 vertices to the 2-core and decompose what remains.
+    """The 2-core left by the graph's one peel of degree-1 vertices
+    (``Graph._hanging``), decomposed.
 
     The hanging trees are the components of G - base, each rooted at its
-    one base neighbor.  A tree strips away entirely: the base and the
-    core fields are empty and the whole graph is one hanging tree rooted
-    (by convention) at vertex 0.  With one cycle the base is that cycle,
+    one base neighbor: the peel's subtrees below a base vertex.  A tree
+    strips away entirely: the base and the core fields are empty and the
+    whole graph is one hanging tree rooted (by convention) at vertex 0,
+    the core vertex the peel keeps.  With one cycle the base is that cycle,
     with no core vertex; it is reported as one core cycle anchored at its
     smallest vertex.
     """
     require_connected(g)
-    deg = [g.degree(v) for v in range(g.n)]
-    stack = [v for v in range(g.n) if deg[v] == 1]
-    while stack:
-        v = stack.pop()
-        deg[v] = 0
-        for w in g.adj[v]:
-            if deg[w] > 0:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    stack.append(w)
-    base_vertices = frozenset(v for v in range(g.n) if deg[v] >= 2)
-    base = build_graph(g.n, [(u, v) for (u, v) in g.edges if deg[u] >= 2 and deg[v] >= 2])
-    hanging = []
-    for tree in _components(g, (v for v in range(g.n) if deg[v] < 2)):
-        # without a base the one tree is the whole graph, rooted at 0
-        root = next((w for x in tree for w in g.adj[x] if deg[w] >= 2), 0)
-        hanging.append((root, frozenset(tree)))
-    hanging.sort(key=lambda rt: rt[0])
-    core = frozenset(v for v in base_vertices if deg[v] >= 3)
+    h = g._hanging
+    if g.m < g.n:  # a tree keeps only its core vertex 0, which is no base
+        base_vertices = frozenset()
+        hanging = [(0, frozenset(range(g.n)))] if g.n else []
+    else:
+        base_vertices = frozenset(v for v in range(g.n) if h.root[v] == v)
+        hanging = sorted(((h.parent[w], frozenset(h.order[h.tin[w]:h.tout[w]]))
+                          for w in range(g.n) if h.parent[w] in base_vertices),
+                         key=lambda rt: (rt[0], min(rt[1])))
+    base = build_graph(g.n, [e for e in g.edges if base_vertices.issuperset(e)])
+    core = frozenset(v for v in base_vertices if base.degree(v) >= 3)
     # walks run between stops; a lone cycle's only stop is its smallest vertex
     stops = core or frozenset(sorted(base_vertices)[:1])
     paths: list[tuple[int, ...]] = []

@@ -11,7 +11,8 @@ import random
 from collections import deque
 from itertools import combinations, product
 
-from megset import INFINITE, Graph, build_graph, is_meg_set, random_connected
+from megset import (INFINITE, Graph, build_graph, is_meg_set, random_connected, random_tree,
+                    random_unicyclic)
 from megset.randgraphs import _random_tree_edges
 from megset.monitoring import _monitoring_pairs, _probes
 from megset.solver import _requirements
@@ -46,6 +47,32 @@ def square_chain(k: int) -> Graph:
     both 3i+1 and 3i+2, so the ends 0 and 3k have 2**k geodesics."""
     return build_graph(3 * k + 1, [(3 * i, 3 * i + j) for i in range(k) for j in (1, 2)]
                        + [(3 * i + j, 3 * i + 3) for i in range(k) for j in (1, 2)])
+
+
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    """g under a uniformly random vertex relabelling."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def forest_corpus(count: int, max_n: int, base_seed: int) -> list[Graph]:
+    """Connected graphs with hanging trees: K1, K2, a star centred at its
+    smallest vertex and one centred at a larger one, then per round a
+    random tree, a relabelled random unicyclic graph and a random graph with
+    at most four edges past a tree, 2 to max_n vertices."""
+    rng = random.Random(base_seed)
+    out = [build_graph(1, []), build_graph(2, [(0, 1)]),
+           build_graph(6, [(0, v) for v in range(1, 6)]),
+           build_graph(6, [(3, v) for v in (0, 1, 2, 4, 5)])]
+    for _ in range(count):
+        out.append(random_tree(rng.randint(2, max_n), rng.randrange(10**9)))
+        n = rng.randint(3, max_n)
+        out.append(relabel(random_unicyclic(n, rng.randint(3, n), rng.randrange(10**9)), rng))
+        n = rng.randint(2, max_n)
+        out.append(random_connected(n, min(n * (n - 1) // 2, n - 1 + rng.randint(0, 4)),
+                                    rng.randrange(10**9)))
+    return out
 
 
 def bfs_levels(g: Graph, src: int) -> dict[int, int]:

@@ -122,12 +122,18 @@ def test_count_shortest_paths_hypercube_antipodal():
 
 def test_geodesy_rows_match_level_and_enumeration_oracles():
     # every row against plain BFS levels and explicit path enumeration; in
-    # the two-component graph (7 is isolated) other parts read INFINITE/0
+    # the two-component graphs (7 and 8 are isolated) other parts read
+    # INFINITE/0.  A hanging source shares its root's count row: the
+    # second two-component graph has a pendant on its cycle and a tree part
+    # whose core vertex 1 is interior
     two_parts = build_graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3), (3, 5)])
-    for g in oracles.random_corpus(40, 9, 53) + [gen_grid(4, 5), gen_hypercube(4), two_parts]:
+    tree_and_cycle = build_graph(9, [(0, 2), (2, 5), (0, 5), (5, 7), (1, 3), (1, 4), (4, 6)])
+    corpus = oracles.random_corpus(40, 9, 53) + oracles.forest_corpus(12, 13, 61)
+    for g in corpus + [gen_grid(4, 5), gen_hypercube(4), two_parts, tree_and_cycle]:
         D, C = g.geodesy(range(g.n))
         for x in range(g.n):
             levels = oracles.bfs_levels(g, x)
+            assert C[x] is C[g._hanging.root[x]]
             for y in range(g.n):
                 assert D[x][y] == levels.get(y, INFINITE)
                 assert C[x][y] == len(oracles.enumerate_geodesics(g, x, y))
@@ -138,6 +144,50 @@ def test_geodesy_rows_match_level_and_enumeration_oracles():
     D, C = chain.geodesy((0, 195))
     assert D[0][195] == D[195][0] == 130
     assert C[0][195] == C[195][0] == 2**65
+
+
+def test_hanging_rows_of_a_long_path():
+    # 5,000 vertices deep, in identity and shuffled labelling: the peel and
+    # the rows recurse nowhere; paths count one geodesic per pair (the
+    # recursive enumeration oracle is kept to targets near the source)
+    n = 5000
+    rng = random.Random(67)
+    for g in (gen_path(n), oracles.relabel(gen_path(n), rng)):
+        sources = [0, 1, n // 2, n - 2, n - 1] + rng.sample(range(n), 5)
+        D, C = g.geodesy(sources)
+        for x in sources:
+            levels = oracles.bfs_levels(g, x)
+            assert D[x] == tuple(levels[y] for y in range(n))
+            assert set(C[x]) == {1}
+            for y in rng.sample([y for y in range(n) if levels[y] < 60], 5):
+                assert C[x][y] == len(oracles.enumerate_geodesics(g, x, y))
+
+
+def test_hanging_count_row_is_shared_past_64_bits():
+    # a pendant path 196-197-198-199 on end 0 of the square chain: from the
+    # leaf 199 every geodesic to the chain leaves through 0
+    chain = oracles.square_chain(65)
+    g = build_graph(200, chain.edges + ((0, 196), (196, 197), (197, 198), (198, 199)))
+    D, C = g.geodesy((199, 197))
+    assert C[199] is C[197] is C[0]
+    assert C[199][192] == 2**64 and C[199][195] == 2**65
+    assert [C[199][3 * i] for i in range(66)] == [2**i for i in range(66)]
+    assert D[199][192] == 132 and D[199][196] == 3
+    for x in (199, 197):
+        levels = oracles.bfs_levels(g, x)
+        assert D[x] == tuple(levels[y] for y in range(g.n))
+
+
+def test_geodesy_checks_every_source_before_any_bfs(monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("a row was built before every source was checked")
+
+    g = random_connected(20, 24, 5)
+    monkeypatch.setattr(graph_module, "_bfs_with_counts", no_bfs)
+    for sources in ([0, 1, 20], [3, -1], iter([5, 2, 21])):
+        with pytest.raises(GraphFormatError, match=r"vertex (20|-1|21) outside \[0,20\)"):
+            g.geodesy(sources)
+    assert g._geodesy_rows == ([None] * 20, [None] * 20)
 
 
 def test_count_shortest_paths_requires_distinct():

@@ -241,7 +241,9 @@ def test_is_dem_set_beyond_64_bits():
         assert by_pairs([0, 195], e)
 
 
-def test_set_checks_build_one_geodesy_row_per_probe(monkeypatch):
+def test_set_checks_run_one_bfs_per_probe_root(monkeypatch):
+    # 9 hangs below 4, and 5 and 27 below 17: a hanging probe's rows derive
+    # from its root's, so a check runs one BFS per distinct root, once
     sources = []
     bfs = graph_module._bfs_with_counts
 
@@ -250,14 +252,65 @@ def test_set_checks_build_one_geodesy_row_per_probe(monkeypatch):
         return bfs(g, source)
 
     monkeypatch.setattr(graph_module, "_bfs_with_counts", counting_bfs)
-    checks = (is_meg_set, witness_report, is_geodetic_set, is_edge_geodetic_set, is_dem_set,
-              lambda g, s: simulate_failure(g, s, g.edges[0]))
+    checks = (is_meg_set, monitored_edges, witness_report, is_geodetic_set, is_edge_geodetic_set,
+              is_dem_set, lambda g, s: simulate_failure(g, s, g.edges[0]))
+    probes = [4, 17, 4, 9, 28, 5, 27]
+    base, trees = oracles.base_by_stripping(random_connected(30, 40, 3))
+    roots = {v for v in probes if v in base} | {r for r, tree in trees if tree & set(probes)}
+    assert roots == {4, 17, 28}
     for check in checks:
         g = random_connected(30, 40, 3)
         sources.clear()
-        for _ in range(2):
-            check(g, [4, 17, 4, 9, 28])
-        assert sorted(sources) == [4, 9, 17, 28]
+        check(g, probes)
+        assert sorted(sources) == sorted(roots)
+        check(g, probes)
+        assert sorted(sources) == sorted(roots)
+
+
+def _probe_sets(g, rng):
+    yield []
+    yield [rng.randrange(g.n)]
+    yield list(range(g.n))
+    yield [v for v in range(g.n) if g.degree(v) <= 1]
+    for _ in range(4):
+        yield rng.choices(range(g.n), k=rng.randint(1, g.n + 2))
+
+
+def test_set_checks_match_a_plain_scan_over_member_rows():
+    # tree edges are decided by side and core edges over the probes' roots;
+    # the reference scans every member pair over rows straight from the BFS
+    rng = random.Random(71)
+    for g in oracles.forest_corpus(15, 14, 71) + oracles.random_corpus(10, 10, 71):
+        rows = [graph_module._bfs_with_counts(g.adj, x) for x in range(g.n)]
+        D, C = [r[0] for r in rows], [r[1] for r in rows]
+        for s in _probe_sets(g, rng):
+            members = sorted(set(s))
+            pairs = {e: list(monitoring._monitoring_pairs(D, C, e, members)) for e in g.edges}
+            covered = {e for e in g.edges if pairs[e]}
+            assert monitored_edges(g, s) == covered
+            assert is_meg_set(g, s) == (len(covered) == g.m)
+            for cap in range(1, 6):
+                rep = witness_report(g, s, cap)
+                assert rep.witnesses == {e: found[:cap] for e, found in pairs.items()}
+                assert rep.uncovered == [e for e in g.edges if e not in covered]
+
+
+def test_set_checks_check_every_probe_before_any_bfs(monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("a row was built before every probe was checked")
+
+    g = random_connected(20, 24, 5)
+    monkeypatch.setattr(graph_module, "_bfs_with_counts", no_bfs)
+    checks = (is_meg_set, monitored_edges, witness_report, is_geodetic_set, is_edge_geodetic_set,
+              is_dem_set, lambda g, s: witness_report(g, s, 0),
+              lambda g, s: simulate_failure(g, s, g.edges[0]))
+    for check in checks:
+        with pytest.raises(GraphFormatError, match=r"vertex 20 outside \[0,20\)"):
+            check(g, [0, 1, 20])
+    for x, y in ((20, 0), (0, 20)):
+        with pytest.raises(GraphFormatError, match=r"vertex 20 outside \[0,20\)"):
+            pair_monitors_edge(g, x, y, g.edges[0])
+    assert g._geodesy_rows == ([None] * 20, [None] * 20)
 
 
 @given(st.integers(0, 10**6))

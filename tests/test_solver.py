@@ -346,7 +346,8 @@ def test_tree_solver_equals_leaves():
 
 
 def test_tree_solve_builds_rows_for_leaf_blocks_only(monkeypatch):
-    # a tree's blocks are its edges, and only those at a leaf hold a non-cut vertex
+    # a tree's blocks are its edges, and only those at a leaf hold a non-cut
+    # vertex; every row of a tree derives from the row of its core vertex 0
     built = []
     counting = graph_module._bfs_with_counts
     monkeypatch.setattr(graph_module, "_bfs_with_counts", lambda g, s: built.append(s) or counting(g, s))
@@ -356,7 +357,9 @@ def test_tree_solve_builds_rows_for_leaf_blocks_only(monkeypatch):
         built.clear()
         assert minimum_meg(t, cap=n).nodes_explored == 1
         leaves = {v for v in range(n) if t.degree(v) == 1}
-        assert sorted(built) == sorted(leaves | {w for v in leaves for w in t.adj[v]})
+        rows = {v for v, row in enumerate(t._geodesy_rows[0]) if row is not None}
+        assert rows == leaves | {w for v in leaves for w in t.adj[v]} | {0}
+        assert built == [0]
 
 
 def _search_corpus():

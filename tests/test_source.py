@@ -128,6 +128,24 @@ def test_lowlink_dfs_runs_only_for_cut_vertices_and_the_mask_table():
     assert _scopes_referring_to("_blocks") == ["graph.py:cut_vertices", "solver.py:_witness_masks"]
 
 
+def _lowers_a_neighbour_count(node) -> bool:
+    """A loop over a vertex's neighbours that decrements a per-vertex table,
+    as a peel of degree-1 vertices does."""
+    adj = node.iter.value if isinstance(node, ast.For) and isinstance(node.iter, ast.Subscript) else None
+    return ((isinstance(adj, ast.Name) and adj.id == "adj"
+             or isinstance(adj, ast.Attribute) and adj.attr == "adj")
+            and any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Sub)
+                    and isinstance(n.target, ast.Subscript) for n in ast.walk(node)))
+
+
+def test_one_scope_peels_degree_one_vertices():
+    # a graph is peeled once, by the cached Graph._hanging; the base graph
+    # reads that peel, with no component traversal of its own
+    assert _scopes_where(_lowers_a_neighbour_count) == ["graph.py:Graph._hanging"]
+    assert "structure.py:base_graph" in _scopes_referring_to("_hanging")
+    assert "structure.py:base_graph" not in _scopes_referring_to("_components")
+
+
 def _is_count_product(node) -> bool:
     """A product of two table lookups, such as C[x][u] * C[y][v]."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
