@@ -13,6 +13,9 @@ core vertex, its root.  A geodesic from a hanging vertex leaves through
 its root along the one tree path, so its geodesy rows derive from the
 root's: the same counts, and distances shifted by its depth except in
 its own hanging component.
+
+The solver's and hierarchy's searches run on ``_depth_first``, one
+pre-order walk over an explicit stack of iterators, so none recurses.
 """
 
 from __future__ import annotations
@@ -388,3 +391,20 @@ def _components(g: Graph, vertices: Iterable[int]) -> list[list[int]]:
                         comp.append(w)
             comps.append(comp)
     return comps
+
+
+def _depth_first(root, children):
+    """The states below ``root`` in pre-order, root first.  ``children(state)``
+    returns a lazy iterable of the state's children, in visiting order, or
+    None for a leaf; it is called once per state, when the state after it
+    is asked for, so a consumer that stops at a state never expands it."""
+    stack = [iter((root,))]
+    while stack:
+        for state in stack[-1]:
+            yield state
+            below = children(state)
+            if below is not None:
+                stack.append(iter(below))
+            break
+        else:
+            stack.pop()

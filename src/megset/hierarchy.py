@@ -5,7 +5,8 @@ some geodesic), edge-geodetic sets (edges covered by some geodesic),
 strong edge-geodetic sets (one chosen geodesic per pair covers all
 edges), and distance-edge-monitoring sets (one endpoint of the
 monitoring pair may be any vertex).  Only verification is provided;
-minimizing these parameters is a different problem.
+minimizing these parameters is a different problem.  The strong check's
+backtracking and its geodesic lists run on ``graph._depth_first``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import SizeCapExceededError
-from .graph import Graph, Edge
+from .graph import Edge, Graph, _depth_first
 from .monitoring import _probes
 
 STRONG_EG_DEFAULT_CAP = 10**6
@@ -61,52 +62,35 @@ def is_strong_edge_geodetic_set(g: Graph, s, *, cap: int = STRONG_EG_DEFAULT_CAP
                 f"strong edge-geodetic search space exceeds cap {cap}"
             )
     target = set(g.edges)
-    if not target:
-        return True
     choice_lists = [_geodesic_edge_sets(g, D, x, y) for (x, y) in pairs]
     choice_lists.sort(key=len)
     suffix: list[set[Edge]] = [set() for _ in range(len(choice_lists) + 1)]
     for i in range(len(choice_lists) - 1, -1, -1):
         suffix[i] = suffix[i + 1].union(*choice_lists[i])
 
-    # depth-first over the pairs, choices in list order; an explicit stack
-    # because there can be thousands of pairs
-    stack = [(0, frozenset(), frozenset())]
-    while stack:
-        i, covered, edge_set = stack.pop()
-        covered |= edge_set
-        if len(covered) == len(target):
-            return True
+    def choices(state):
+        i, covered = state
         if i == len(choice_lists) or not (target - covered) <= suffix[i]:
-            continue
-        stack.extend((i + 1, covered, es) for es in reversed(choice_lists[i]))
-    return False
+            return None
+        return ((i + 1, covered | es) for es in choice_lists[i])
+
+    return any(len(covered) == len(target) for _, covered in _depth_first((0, frozenset()), choices))
 
 
 def _geodesic_edge_sets(g: Graph, D, x: int, y: int) -> list[frozenset[Edge]]:
-    """Edge sets of all geodesics from x to y, walking the distance DAG.
-
-    Iterative, since a geodesic can be longer than the recursion limit.
-    """
+    """Edge sets of all geodesics from x to y, walking the distance DAG
+    from y.  ``walk[d]`` is the current path's vertex at distance d from x."""
     dx = D[x]
 
     def steps_toward_x(v: int):
-        return (w for w in g.adj[v] if dx[w] + 1 == dx[v])
+        return None if v == x else (w for w in g.adj[v] if dx[w] + 1 == dx[v])
 
     out: list[frozenset[Edge]] = []
-    path = [y]
-    pending = [steps_toward_x(y)]
-    while pending:
-        w = next(pending[-1], None)
-        if w is None:
-            pending.pop()
-            path.pop()
-        elif w == x:
-            walk = path + [x]
+    walk = [y] * (dx[y] + 1)
+    for v in _depth_first(y, steps_toward_x):
+        walk[dx[v]] = v
+        if v == x:
             out.append(frozenset((a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])))
-        else:
-            path.append(w)
-            pending.append(steps_toward_x(w))
     return out
 
 

@@ -12,7 +12,7 @@ It reads only the geodesy rows of x and y, kept on the graph; a
 hanging probe's rows derive from its root's, so a check runs one
 counting BFS per distinct root of its probes.  Distance increase and
 path enumeration live on as test oracles, and the suite pins all three
-routes to each other.  The simulator still runs the counting BFS on the
+routes to each other.  The simulator runs the counting BFS on the
 adjacency of G-e, for the new distances it reports.
 
 DEM lemma: some pair (x, y) monitors u-v iff d(x,u) != d(x,v) and
@@ -21,18 +21,19 @@ one as its only neighbour one step closer to x (and then y can be the
 farther endpoint).  So hierarchy's DEM check reads only members' rows.
 
 _monitoring_pairs scans each member's rows against the later members,
-so it yields the monitoring pairs of one edge in lexicographic order:
-witness_report takes its first few, simulate_failure all pairs of the
-probe set, the solver's mask table all pairs of each block, and
+so it yields the monitoring pairs of one edge in lexicographic order;
+the solver's mask table takes all pairs of each block from it, and
 pair_monitors_edge its one pair.
 
 The set checks read the graph's peel of degree-1 vertices.  A tree edge
-is a bridge, monitored by exactly the pairs it separates, so it is
-decided by which side of it each member lies on: a bisect over the
-members in Euler order.  A pair monitors an edge of the 2-core exactly
-when the pair's roots differ and monitor it, so is_meg_set and
-monitored_edges scan those edges over the members' distinct roots, and
-take the first pair there.
+is a bridge, monitored by exactly the pairs it separates, so its sides
+come from a bisect over the members in Euler order.  One lister,
+_pair_lister, gives any edge's pairs of members: a tree edge's by side,
+a core edge's from _monitoring_pairs.  witness_report caps it per edge
+and simulate_failure reads it for the failed edge.  A pair monitors an
+edge of the 2-core exactly when the pair's roots differ and monitor it,
+so is_meg_set and monitored_edges scan those edges over the members'
+distinct roots, and take the first pair there.
 """
 
 from __future__ import annotations
@@ -102,10 +103,12 @@ def _probes(g: Graph, s):
     return members, D, C
 
 
-def _below(h, e: Edge) -> int:
-    """The lower endpoint of e if e is a tree edge of the peel ``h``, else -1."""
+def _below(h, tins: list[int], e: Edge) -> slice | None:
+    """None for a 2-core edge of the peel ``h``; for a tree edge, the slice
+    of ``tins`` (the members' sorted Euler entry times) below it."""
     u, v = e
-    return v if h.parent[v] == u else u if h.parent[u] == v else -1
+    w = v if h.parent[v] == u else u if h.parent[u] == v else -1
+    return None if w < 0 else slice(bisect_left(tins, h.tin[w]), bisect_left(tins, h.tout[w]))
 
 
 def _monitoring_pairs(D, C, e: Edge, members):
@@ -148,11 +151,11 @@ def _coverage(g: Graph, s):
     D, C = g.geodesy(roots)
     tins = sorted(h.tin[x] for x in members)
     for e in g.edges:
-        w = _below(h, e)
-        if w >= 0:
-            yield e, 0 < bisect_left(tins, h.tout[w]) - bisect_left(tins, h.tin[w]) < len(tins)
-        else:
+        inside = _below(h, tins, e)
+        if inside is None:
             yield e, any(_monitoring_pairs(D, C, e, roots))
+        else:
+            yield e, 0 < inside.stop - inside.start < len(tins)
 
 
 def monitored_edges(g: Graph, s) -> set[Edge]:
@@ -170,40 +173,40 @@ def _separated_pairs(members: list[int], inside: list[int]):
     ``inside``, a sorted part of the sorted ``members``, in that order."""
     side = set(inside)
     outside = [x for x in members if x not in side]
-    if not outside:
+    if not (inside and outside):
         return
-    # past the smaller of the two sides' largest vertices no x has a partner above it
-    last = min(inside[-1], outside[-1])
     for x in members:
-        if x > last:
-            return
         other = outside if x in side else inside
         for i in range(bisect_right(other, x), len(other)):
             yield x, other[i]
 
 
+def _pair_lister(g: Graph, members: list[int], D, C):
+    """The function from an edge to the pairs of the sorted ``members``
+    that monitor it, lazily and in lexicographic order.  A tree edge's are
+    the pairs it separates, from the members in Euler order; a core edge's
+    come from the scan of member rows, which D and C must hold."""
+    h = g._hanging
+    tins = sorted(h.tin[x] for x in members)
+
+    def pairs(e: Edge):
+        inside = _below(h, tins, e)
+        if inside is None:
+            return _monitoring_pairs(D, C, e, members)
+        return _separated_pairs(members, sorted(map(h.order.__getitem__, tins[inside])))
+    return pairs
+
+
 def witness_report(g: Graph, s, max_witnesses_per_edge: int = 3) -> WitnessReport:
     """Up to max_witnesses_per_edge monitoring pairs per edge, lexicographic.
 
-    The uncovered list is always complete regardless of the cap.  A tree
-    edge's pairs are the member pairs it separates, found from the members
-    in Euler order; a core edge's come from the scan of member rows.
+    The uncovered list is always complete regardless of the cap.
     """
     members, D, C = _probes(g, s)
     if max_witnesses_per_edge < 1:
         raise ValueError("max_witnesses_per_edge must be positive")
-    h = g._hanging
-    by_tin = sorted(members, key=h.tin.__getitem__)
-    tins = [h.tin[x] for x in by_tin]
-    witnesses = {}
-    for e in g.edges:
-        w = _below(h, e)
-        if w >= 0:
-            inside = sorted(by_tin[bisect_left(tins, h.tin[w]):bisect_left(tins, h.tout[w])])
-            pairs = _separated_pairs(members, inside) if inside else ()
-        else:
-            pairs = _monitoring_pairs(D, C, e, members)
-        witnesses[e] = list(islice(pairs, max_witnesses_per_edge))
+    pairs = _pair_lister(g, members, D, C)
+    witnesses = {e: list(islice(pairs(e), max_witnesses_per_edge)) for e in g.edges}
     uncovered = [e for e, found in witnesses.items() if not found]
     return WitnessReport(witnesses=witnesses, uncovered=uncovered)
 
@@ -223,7 +226,7 @@ def simulate_failure(g: Graph, s, e: tuple[int, int]) -> DetectionReport:
     # one BFS on G-e per probe that heads a detecting pair
     without = _adjacency_without(g, failed)
     new_dist = {}
-    for x, y in _monitoring_pairs(D, C, failed, members):
+    for x, y in _pair_lister(g, members, D, C)(failed):
         if x not in new_dist:
             new_dist[x] = _bfs_with_counts(without, x)[0]
         report.observations.append(ProbeObservation(x, y, D[x][y], new_dist[x][y]))

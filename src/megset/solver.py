@@ -21,8 +21,8 @@ then takes the free vertices in increasing order and keeps each one
 only if a check over the vertices after it can still complete a cover
 of size k, so the result is the lexicographically smallest minimum and
 ``all_minimum_megs`` lists the minimums in lexicographic order:
-deterministic and independent of the pruning.  Both searches keep
-explicit stacks, so no input runs into the recursion limit.
+deterministic and independent of the pruning.  Both searches run on
+``graph._depth_first``, so no input runs into the recursion limit.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .graph import (
     _blocks,
     _check_vertex,
     _components,
+    _depth_first,
     require_connected,
     simplicial_vertices,
     twin_vertices,
@@ -170,22 +171,29 @@ def _option_count(req) -> int:
     return req[0].bit_count() + len(req[1])
 
 
-def _branches(reqs: _Requirements, allowed: int, budget: int):
-    """Child states of a feasibility node, one per option of the
-    requirement with the fewest options, one-vertex options first.
+def _branches(state):
+    """The child states of a feasibility node, one per option of the
+    requirement with the fewest options, one-vertex options first; None
+    when no requirement is left or one has no option, when the budget is
+    below 2 (budget 1 takes the one-vertex test) or below the packing bound.
 
     A vertex whose branch failed stays out of the later branches: every
     cover containing it was already searched.
     """
-    ones, pairs = min(reqs, key=_option_count)
-    while ones:
-        b = ones & -ones
-        ones ^= b
-        allowed &= ~b
-        yield _trim(reqs, b, allowed), allowed, budget - 1
-    for p in pairs:  # feasible branches only at budget >= 2
-        rest = allowed & ~p
-        yield _trim(reqs, p, rest), rest, budget - 2
+    reqs, allowed, budget = state
+    if not reqs or budget < 2 or _packing_bound(reqs) > budget:
+        return None
+
+    def children(ones, pairs, allowed):
+        while ones:
+            b = ones & -ones
+            ones ^= b
+            allowed &= ~b
+            yield _trim(reqs, b, allowed), allowed, budget - 1
+        for p in pairs:
+            rest = allowed & ~p
+            yield _trim(reqs, p, rest), rest, budget - 2
+    return children(*min(reqs, key=_option_count), allowed)
 
 
 class _CoverSearch:
@@ -202,26 +210,16 @@ class _CoverSearch:
 
     def feasible(self, reqs: _Requirements, allowed: int, budget: int) -> bool:
         """Can at most ``budget`` vertices of ``allowed`` cover ``reqs``?"""
-        stack = [iter([(reqs, allowed, budget)])]
-        while stack:
-            state = next(stack[-1], None)
-            if state is None:
-                stack.pop()
-                continue
+        for reqs, allowed, budget in _depth_first((reqs, allowed, budget), _branches):
             self.nodes += 1
-            reqs, allowed, budget = state
-            if reqs is None:
-                continue
-            if not reqs:
+            if reqs == []:
                 return True
-            if budget == 1:
+            if reqs and budget == 1:
                 common = allowed
                 for ones, _ in reqs:
                     common &= ones
                 if common:
                     return True
-            elif budget and _packing_bound(reqs) <= budget:
-                stack.append(_branches(reqs, allowed, budget))
         return False
 
     def minimum_size(self) -> int:
@@ -241,19 +239,12 @@ class _CoverSearch:
         check over the vertices after it can still complete the cover.
         """
         hits: list[int] = []
-        stack = [iter([(self.root, 0, self.free, k)])]
-        while stack:
-            state = next(stack[-1], None)
-            if state is None:
-                stack.pop()
-                continue
-            reqs, chosen, allowed, budget = state
+        root = (self.root, 0, self.free, k)
+        for reqs, chosen, _, _ in _depth_first(root, lambda st: self._extensions(*st) if st[0] else None):
             if not reqs:
                 hits.append(chosen)
                 if len(hits) == limit:
                     break
-                continue
-            stack.append(self._extensions(reqs, chosen, allowed, budget))
         return hits
 
     def _extensions(self, reqs: _Requirements, chosen: int, allowed: int, budget: int):

@@ -88,24 +88,32 @@ def bfs_levels(g: Graph, src: int) -> dict[int, int]:
 
 
 def enumerate_geodesics(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
-    """All shortest x-y paths, by DFS over the BFS level structure."""
+    """All shortest x-y paths, by DFS over the BFS level structure.
+
+    The DFS keeps its own stack, one neighbour iterator per vertex of the
+    current path from y, so a geodesic longer than the recursion limit is
+    enumerated too.
+    """
     levels = bfs_levels(g, x)
     if y not in levels:
         return []
+    if y == x:
+        return [(x,)]
     paths: list[tuple[int, ...]] = []
-    stack: list[int] = [y]
-
-    def walk(v: int) -> None:
-        if v == x:
-            paths.append(tuple(reversed(stack)))
-            return
-        for w in g.adj[v]:
-            if levels.get(w, -1) == levels[v] - 1:
-                stack.append(w)
-                walk(w)
-                stack.pop()
-
-    walk(y)
+    path = [y]
+    pending = [iter(g.adj[y])]
+    while pending:
+        w = next(pending[-1], None)
+        if w is None:
+            pending.pop()
+            path.pop()
+        elif levels.get(w, -1) == levels[path[-1]] - 1:
+            path.append(w)
+            if w == x:
+                paths.append(tuple(reversed(path)))
+                path.pop()
+            else:
+                pending.append(iter(g.adj[w]))
     return paths
 
 

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from megset import (
+    GraphFormatError,
     UnrecognizedClassError,
     build_graph,
     gen_complete,
@@ -12,6 +14,7 @@ from megset import (
     gen_multipartite,
     gen_path,
     gen_star,
+    gen_tightness_family,
     is_meg_set,
     meg_complete,
     meg_cycle,
@@ -315,3 +318,22 @@ def test_random_class_instances_match_solver():
     for parts in ([1, 2], [2, 2], [1, 1, 2], [2, 3], [1, 3]):
         g = gen_multipartite(parts)
         assert minimum_meg(g).meg_number == meg_multipartite(parts).meg_number
+
+
+@pytest.mark.parametrize("make, args, error, message", [
+    (gen_complete, (0,), ValueError, "complete graph needs at least 1 vertex"),
+    (gen_star, (0,), ValueError, "star needs at least 1 leaf"),
+    (gen_multipartite, ([2, 0],), ValueError, "every part needs at least 1 vertex"),
+    (gen_hypercube, (0,), ValueError, "hypercube dimension must be at least 1"),
+    (gen_grid, (0, 3), ValueError, "grid dimensions must be at least 1"),
+    (meg_multipartite, ([1],), ValueError, "need at least 2 parts, each nonempty"),
+    (meg_multipartite, ([2, 0],), ValueError, "need at least 2 parts, each nonempty"),
+    (meg_grid, (0, 2), ValueError, "grid dimensions must be at least 1"),
+    (build_graph, (-1, []), GraphFormatError, "vertex count must be nonnegative, got -1"),
+    (random_tree, (0, 1), ValueError, "tree needs at least 1 vertex"),
+    (random_connected, (0, 0, 1), ValueError, "need at least 1 vertex"),
+    (gen_tightness_family, (2, -1), ValueError, "leaf count must be nonnegative"),
+])
+def test_generators_and_closed_forms_reject_empty_or_negative_sizes(make, args, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make(*args)

@@ -61,6 +61,12 @@ def test_build_graph_rejects_out_of_range():
         build_graph(3, [(0, 3)])
 
 
+def test_has_edge_takes_either_endpoint_first():
+    g = build_graph(4, [(0, 1), (1, 3)])
+    assert g.has_edge(3, 1) and g.has_edge(1, 3) and g.has_edge(1, 0)
+    assert not g.has_edge(3, 0) and not g.has_edge(2, 1)
+
+
 def test_derived_tables_die_with_their_graph():
     g = random_connected(12, 18, 5)
     assert g.has_edge(*g.edges[0])
@@ -148,8 +154,8 @@ def test_geodesy_rows_match_level_and_enumeration_oracles():
 
 def test_hanging_rows_of_a_long_path():
     # 5,000 vertices deep, in identity and shuffled labelling: the peel and
-    # the rows recurse nowhere; paths count one geodesic per pair (the
-    # recursive enumeration oracle is kept to targets near the source)
+    # the rows recurse nowhere; paths count one geodesic per pair, to
+    # targets anywhere on the path
     n = 5000
     rng = random.Random(67)
     for g in (gen_path(n), oracles.relabel(gen_path(n), rng)):
@@ -159,8 +165,48 @@ def test_hanging_rows_of_a_long_path():
             levels = oracles.bfs_levels(g, x)
             assert D[x] == tuple(levels[y] for y in range(n))
             assert set(C[x]) == {1}
-            for y in rng.sample([y for y in range(n) if levels[y] < 60], 5):
+            for y in rng.sample(range(n), 5):
                 assert C[x][y] == len(oracles.enumerate_geodesics(g, x, y))
+
+
+def test_geodesic_oracle_follows_a_path_past_the_recursion_limit():
+    assert oracles.enumerate_geodesics(gen_path(1200), 0, 1199) == [tuple(range(1200))]
+
+
+def test_depth_first_walks_in_preorder_and_expands_lazily():
+    tree = {0: [1, 4], 1: [2, 3], 4: [5]}
+    expanded = []
+
+    def children(v):
+        expanded.append(v)
+        return iter(tree[v]) if v in tree else None
+
+    assert list(graph_module._depth_first(0, children)) == [0, 1, 2, 3, 4, 5]
+    assert expanded == [0, 1, 2, 3, 4, 5]
+    # a state is expanded only when the state after it is asked for
+    expanded.clear()
+    walk = graph_module._depth_first(0, children)
+    assert next(walk) == 0 and expanded == []
+    assert next(walk) == 1 and expanded == [0]
+    assert next(walk) == 2 and expanded == [0, 1]
+    walk.close()
+    assert expanded == [0, 1]
+    # children come from a lazy iterable, pulled one at a time
+    pulled = []
+
+    def counted(v):
+        for w in tree.get(v, ()):
+            pulled.append(w)
+            yield w
+
+    walk = graph_module._depth_first(0, counted)
+    assert [next(walk), next(walk), next(walk)] == [0, 1, 2] and pulled == [1, 2]
+
+
+def test_depth_first_runs_a_chain_deeper_than_the_recursion_limit():
+    depth = 200_000
+    walk = graph_module._depth_first(0, lambda v: iter((v + 1,)) if v < depth else None)
+    assert sum(1 for _ in walk) == depth + 1
 
 
 def test_hanging_count_row_is_shared_past_64_bits():

@@ -278,7 +278,8 @@ def _probe_sets(g, rng):
 
 def test_set_checks_match_a_plain_scan_over_member_rows():
     # tree edges are decided by side and core edges over the probes' roots;
-    # the reference scans every member pair over rows straight from the BFS
+    # the reference scans every member pair over rows straight from the BFS.
+    # The simulator's pairs come from the same lister as the uncapped report
     rng = random.Random(71)
     for g in oracles.forest_corpus(15, 14, 71) + oracles.random_corpus(10, 10, 71):
         rows = [graph_module._bfs_with_counts(g.adj, x) for x in range(g.n)]
@@ -293,6 +294,10 @@ def test_set_checks_match_a_plain_scan_over_member_rows():
                 rep = witness_report(g, s, cap)
                 assert rep.witnesses == {e: found[:cap] for e, found in pairs.items()}
                 assert rep.uncovered == [e for e in g.edges if e not in covered]
+            every = witness_report(g, s, 10**9).witnesses
+            for e in g.edges:
+                observed = [(o.x, o.y) for o in simulate_failure(g, s, e).observations]
+                assert observed == every[e] == pairs[e]
 
 
 def test_set_checks_check_every_probe_before_any_bfs(monkeypatch):

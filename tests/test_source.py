@@ -156,3 +156,54 @@ def test_count_product_is_the_one_monitoring_test():
     # a second monitoring route must not return to src: only the pair scan
     # multiplies geodesic counts to decide monitoring
     assert set(_scopes_where(_is_count_product)) == {"monitoring.py:_monitoring_pairs"}
+
+
+def _is_stack_top(node) -> bool:
+    """An expression ``<name>[-1]``."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and isinstance(node.slice, ast.UnaryOp) and isinstance(node.slice.op, ast.USub)
+            and isinstance(node.slice.operand, ast.Constant) and node.slice.operand.value == 1)
+
+
+def _advances_a_stack_top(node, scope: tuple, unpacked: dict) -> bool:
+    """``next(<name>[-1], ...)``, a loop over ``<name>[-1]``, or a loop over
+    a name that the same scope unpacked from a frame ``<name>[-1]``; frame
+    names are recorded in ``unpacked`` as the scope's assignments pass."""
+    if isinstance(node, ast.Assign) and _is_stack_top(node.value):
+        unpacked.setdefault(scope, set()).update(
+            n.id for n in ast.walk(node.targets[0]) if isinstance(n, ast.Name))
+    if isinstance(node, ast.For):
+        return _is_stack_top(node.iter) or (isinstance(node.iter, ast.Name)
+                                            and node.iter.id in unpacked.get(scope, ()))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "next" and bool(node.args) and _is_stack_top(node.args[0]))
+
+
+def _scopes_advancing_a_stack_top() -> list[str]:
+    found = []
+    for module, tree in _package_trees():
+        unpacked: dict[tuple, set] = {}
+        visitor = _Scopes(lambda node: _advances_a_stack_top(node, tuple(visitor.scope), unpacked))
+        visitor.visit(tree)
+        found += [f"{module}:{scope}" for scope in visitor.found]
+    return found
+
+
+def test_searches_run_on_the_one_depth_first_walk():
+    # the walk owns the stack of iterators; the lowlink pass keeps its frames
+    # because it works on the way back up
+    assert sorted(set(_scopes_advancing_a_stack_top())) == ["graph.py:_blocks", "graph.py:_depth_first"]
+    assert _scopes_referring_to("_depth_first") == [
+        "hierarchy.py:is_strong_edge_geodetic_set", "hierarchy.py:_geodesic_edge_sets",
+        "solver.py:_CoverSearch.feasible", "solver.py:_CoverSearch.covers"]
+
+
+def test_probe_reports_list_pairs_through_the_one_lister():
+    # a tree edge's sides come from one place, and the report and the
+    # simulator take every edge's pairs from the lister
+    assert _scopes_referring_to("_below") == ["monitoring.py:_coverage", "monitoring.py:_pair_lister.pairs"]
+    assert _scopes_referring_to("_pair_lister") == ["monitoring.py:witness_report",
+                                                    "monitoring.py:simulate_failure"]
+    scans = set(_scopes_referring_to("_monitoring_pairs"))
+    assert "monitoring.py:_pair_lister.pairs" in scans
+    assert not scans & {"monitoring.py:witness_report", "monitoring.py:simulate_failure"}
