@@ -14,8 +14,8 @@ its root along the one tree path, so its geodesy rows derive from the
 root's: the same counts, and distances shifted by its depth except in
 its own hanging component.
 
-The solver's and hierarchy's searches run on ``_depth_first``, one
-pre-order walk over an explicit stack of iterators, so none recurses.
+Every DFS, for the blocks and the peel too, runs on ``_depth_first``:
+one pre-order walk over a stack of iterators, so none recurses.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DisconnectedGraphError, GraphFormatError
@@ -106,21 +106,20 @@ class Graph:
         core = [d >= 2 for d in deg]
         root, depth, parent, tin = list(range(n)), [0] * n, [-1] * n, [-1] * n
         order: list[int] = []
+
+        def hanging_below(v):
+            for w in reversed(adj[v]):
+                if w != parent[v] and not core[w]:
+                    root[w], depth[w], parent[w] = root[v], depth[v] + 1, v
+                    yield w
+
         # the 2-core first; a component without a cycle peels away whole and
         # keeps as its core the first vertex it is met at, its smallest
         for c in [v for v in range(n) if core[v]] + list(range(n)):
-            if tin[c] >= 0:
-                continue
-            core[c] = True
-            stack = [c]
-            while stack:
-                v = stack.pop()
-                tin[v] = len(order)
-                order.append(v)
-                for w in adj[v]:
-                    if w != parent[v] and not core[w]:
-                        root[w], depth[w], parent[w] = c, depth[v] + 1, v
-                        stack.append(w)
+            if tin[c] < 0:
+                for v in _depth_first(c, hanging_below):
+                    tin[v] = len(order)
+                    order.append(v)
         size = [1] * n
         for v in reversed(order):
             if parent[v] >= 0:
@@ -339,37 +338,32 @@ def cut_vertices(g: Graph) -> frozenset[int]:
 def _blocks(g: Graph) -> tuple[list[tuple[list[int], list[Edge]]], frozenset[int]]:
     """The blocks (biconnected components) of a connected graph as (sorted
     vertices, sorted edges), in vertex-list order, and its cut vertices
-    (those of two or more blocks), by Hopcroft-Tarjan lowlink over an
-    iterative DFS with an edge stack: when nothing below w reaches above
-    w's tree parent p, the edges stacked since the tree edge (p, w) form a
-    block."""
-    disc = [0] + [-1] * (g.n - 1)
-    low = [0] * g.n
-    clock = count(1)
-    stacked: list[Edge] = []
-    blocks = []
-    # vertex, tree parent, neighbours left to scan, edge-stack height at its tree edge
-    frames = [(0, -1, iter(g.adj[0]), 0)] if g.n else []
-    while frames:
-        v, p, rest, base = frames[-1]
-        for w in rest:
+    (those of two or more blocks), by Hopcroft-Tarjan lowlink on one
+    ``_depth_first`` walk that marks children as yielded, so non-tree edges
+    join ancestors.  low[w], the least disc beside w's subtree (p's too),
+    fills in reverse pre-order; the tree edge (p, w) opens a block when
+    low[w] >= disc[p], and each edge joins its later-discovered end's block."""
+    disc, parent = [0] + [-1] * (g.n - 1), [-1] * g.n
+    order: list[int] = []
+
+    def tree_children(v):
+        for w in g.adj[v]:
             if disc[w] < 0:
-                disc[w] = low[w] = next(clock)
-                frames.append((w, v, iter(g.adj[w]), len(stacked)))
-                stacked.append((v, w))
-                break
-            if w != p and disc[w] < disc[v]:  # a back edge, stacked from its lower end only
-                stacked.append((w, v))
-                low[v] = min(low[v], disc[w])
-        else:
-            frames.pop()
-            if p >= 0:
-                low[p] = min(low[p], low[v])
-                if low[v] >= disc[p]:
-                    edges = sorted((a, b) if a < b else (b, a) for a, b in stacked[base:])
-                    del stacked[base:]
-                    blocks.append((sorted({x for e in edges for x in e}), edges))
-    blocks.sort()
+                disc[w], parent[w] = len(order), v
+                yield w
+
+    for v in (_depth_first(0, tree_children) if g.n else ()):
+        order.append(v)
+    low = [min([disc[v], *map(disc.__getitem__, g.adj[v])]) for v in range(g.n)]
+    for v in reversed(order[1:]):
+        low[parent[v]] = min(low[parent[v]], low[v])
+    opener = [-1] * g.n  # the child whose tree edge opened the block of (parent[w], w)
+    for w in order[1:]:
+        opener[w] = w if low[w] >= disc[parent[w]] else opener[parent[w]]
+    edges: dict[int, list[Edge]] = {}
+    for a, b in g.edges:
+        edges.setdefault(opener[a if disc[a] > disc[b] else b], []).append((a, b))
+    blocks = sorted((sorted({x for e in es for x in e}), es) for es in edges.values())
     shared = Counter(v for block, _ in blocks for v in block)
     return blocks, frozenset(v for v, k in shared.items() if k > 1)
 

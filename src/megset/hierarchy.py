@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import SizeCapExceededError
 from .graph import Edge, Graph, _depth_first
-from .monitoring import _probes
+from .monitoring import _dem, _probes
 
 STRONG_EG_DEFAULT_CAP = 10**6
 
@@ -95,9 +95,7 @@ def _geodesic_edge_sets(g: Graph, D, x: int, y: int) -> list[frozenset[Edge]]:
 
 
 def is_dem_set(g: Graph, s) -> bool:
-    """Distance-edge-monitoring: each edge is monitored by some pair with
-    one endpoint in s and the other anywhere in the graph, decided on the
-    members' rows by the DEM lemma in ``monitoring``."""
+    """Distance-edge-monitoring: each edge is monitored by a member and some
+    vertex, that is, some member passes ``monitoring._dem``'s test for it."""
     members, D, C = _probes(g, s)
-    return all(any(D[x][u] != D[x][v] and C[x][u] == C[x][v] for x in members)
-               for u, v in g.edges)
+    return all(next(_dem(D, C, e, members), None) is not None for e in g.edges)

@@ -18,7 +18,8 @@ adjacency of G-e, for the new distances it reports.
 DEM lemma: some pair (x, y) monitors u-v iff d(x,u) != d(x,v) and
 sigma(x,u) = sigma(x,v), that is iff the farther endpoint has the nearer
 one as its only neighbour one step closer to x (and then y can be the
-farther endpoint).  So hierarchy's DEM check reads only members' rows.
+farther endpoint).  Both ends of a monitoring pair pass this test, _dem,
+so the DEM check and the scan of a 2-core edge read the members it keeps.
 
 _monitoring_pairs scans each member's rows against the later members,
 so it yields the monitoring pairs of one edge in lexicographic order;
@@ -135,6 +136,12 @@ def _monitoring_pairs(D, C, e: Edge, members):
                 yield x, y
 
 
+def _dem(D, C, e: Edge, vertices):
+    """The vertices x, lazily and in their given order, that pass the DEM test for e."""
+    u, v = e
+    return (x for x in vertices if D[x][u] != D[x][v] and C[x][u] == C[x][v])
+
+
 def _coverage(g: Graph, s):
     """Each edge of g, in order, with whether some pair of s monitors it.
 
@@ -185,14 +192,14 @@ def _pair_lister(g: Graph, members: list[int], D, C):
     """The function from an edge to the pairs of the sorted ``members``
     that monitor it, lazily and in lexicographic order.  A tree edge's are
     the pairs it separates, from the members in Euler order; a core edge's
-    come from the scan of member rows, which D and C must hold."""
+    scan the rows, which D and C must hold, of the members _dem keeps."""
     h = g._hanging
     tins = sorted(h.tin[x] for x in members)
 
     def pairs(e: Edge):
         inside = _below(h, tins, e)
         if inside is None:
-            return _monitoring_pairs(D, C, e, members)
+            return _monitoring_pairs(D, C, e, list(_dem(D, C, e, members)))
         return _separated_pairs(members, sorted(map(h.order.__getitem__, tins[inside])))
     return pairs
 

@@ -438,7 +438,7 @@ def test_blocks_and_cut_vertices_match_networkx():
 
 
 def test_blocks_of_deep_inputs():
-    # the lowlink DFS keeps an explicit stack, so depth 3,000 is fine
+    # the lowlink passes run on _depth_first's stack of iterators, so depth 3,000 is fine
     n = 3000
     assert sys.getrecursionlimit() < n
     path, cycle = gen_path(n), gen_cycle(n)

@@ -190,10 +190,11 @@ def _scopes_advancing_a_stack_top() -> list[str]:
 
 
 def test_searches_run_on_the_one_depth_first_walk():
-    # the walk owns the stack of iterators; the lowlink pass keeps its frames
-    # because it works on the way back up
-    assert sorted(set(_scopes_advancing_a_stack_top())) == ["graph.py:_blocks", "graph.py:_depth_first"]
+    # the walk owns the stack of iterators; lowlink needs no way back up,
+    # since low is a minimum over a subtree and a reverse pre-order pass takes it
+    assert sorted(set(_scopes_advancing_a_stack_top())) == ["graph.py:_depth_first"]
     assert _scopes_referring_to("_depth_first") == [
+        "graph.py:Graph._hanging", "graph.py:_blocks",
         "hierarchy.py:is_strong_edge_geodetic_set", "hierarchy.py:_geodesic_edge_sets",
         "solver.py:_CoverSearch.feasible", "solver.py:_CoverSearch.covers"]
 
@@ -207,3 +208,8 @@ def test_probe_reports_list_pairs_through_the_one_lister():
     scans = set(_scopes_referring_to("_monitoring_pairs"))
     assert "monitoring.py:_pair_lister.pairs" in scans
     assert not scans & {"monitoring.py:witness_report", "monitoring.py:simulate_failure"}
+
+
+def test_dem_test_is_written_once():
+    # the lister's scan of a 2-core edge and the DEM check share one filter
+    assert _scopes_referring_to("_dem") == ["hierarchy.py:is_dem_set", "monitoring.py:_pair_lister.pairs"]
